@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 
 from .core_model import (
     DegenerateColumnError,
-    EstimatePair,
     JointMoments,
     LinearModel,
     LinearRestriction,
@@ -25,10 +24,7 @@ from .shrinkage import (
     EstimatorDef,
     HFunction,
     InvalidRiskMomentError,
-    ShrinkageSpec,
     apply_rule,
-    combine,
-    combine_batch,
     dominance_interval,
     optimal_c,
     spsl,

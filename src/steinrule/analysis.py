@@ -8,11 +8,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr
 
 from . import _rng
 from .core_model import LinearModel, _design_rank, fit_diag_competitor, fit_ols
-from .shrinkage import EstimatorDef, ShrinkageSpec, apply_rule, spsl, spsl_c_hat
+from .shrinkage import apply_rule, spsl, spsl_c_hat
 
 
 class DataError(ValueError):
@@ -110,6 +110,17 @@ def _is_number(cell):
         return False
 
 
+def matrix_text(names, M):
+    """A square matrix as text, rows and columns labeled by names."""
+    width = max(len(nm) for nm in names)
+    head = " ".join(f"{nm:>10}" for nm in names)
+    lines = [f"{'':>{width}}  {head}"]
+    for i, nm in enumerate(names):
+        row = " ".join(f"{M[i, j]:>10.4f}" for j in range(len(names)))
+        lines.append(f"{nm:>{width}}  {row}")
+    return "\n".join(lines)
+
+
 @dataclass
 class CorrelationTable:
     names: list
@@ -117,13 +128,7 @@ class CorrelationTable:
     p: np.ndarray
 
     def __str__(self):
-        width = max(len(nm) for nm in self.names)
-        head = " ".join(f"{nm:>10}" for nm in self.names)
-        lines = [f"{'':>{width}}  {head}"]
-        for i, nm in enumerate(self.names):
-            row = " ".join(f"{self.r[i, j]:>10.4f}" for j in range(len(self.names)))
-            lines.append(f"{nm:>{width}}  {row}")
-        return "\n".join(lines)
+        return matrix_text(self.names, self.r)
 
 
 def correlation_table(data, names=None):
@@ -144,7 +149,7 @@ def correlation_table(data, names=None):
     df = data.n - 2
     with np.errstate(divide="ignore"):
         t = r * np.sqrt(df / (1.0 - r * r))
-    p = 2.0 * stats.t.sf(np.abs(t), df)
+    p = 2.0 * stdtr(df, -np.abs(t))
     np.fill_diagonal(p, 0.0)
     return CorrelationTable(names, r, p)
 
@@ -172,6 +177,7 @@ class EfficiencyReport:
                 nm: float(v) for nm, v in self.efficiency_se.items()},
             "B": self.bootstrap_replications,
             "seed": self.seed,
+            "redraws": self.redraws,
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
@@ -189,11 +195,7 @@ class EfficiencyReport:
 
 
 def _as_def(spec):
-    if spec is None:
-        return spsl()
-    if isinstance(spec, ShrinkageSpec):
-        return EstimatorDef(f"{spec.h.kind}[c={spec.c:g}]", spec.h, spec.c)
-    return spec
+    return spsl() if spec is None else spec
 
 
 def _model_from(X, y):

@@ -12,6 +12,7 @@ from .analysis import (
     bootstrap_efficiency,
     correlation_table,
     load_csv,
+    matrix_text,
     point_estimates,
 )
 from .distributions import EllipticalSpec
@@ -159,24 +160,14 @@ def _split_covariates(arg):
     return names
 
 
-def _matrix_text(names, M, fmt):
-    width = max(len(nm) for nm in names)
-    head = " ".join(f"{nm:>10}" for nm in names)
-    lines = [f"{'':>{width}}  {head}"]
-    for i, nm in enumerate(names):
-        row = " ".join(format(M[i, j], fmt).rjust(10) for j in range(len(names)))
-        lines.append(f"{nm:>{width}}  {row}")
-    return "\n".join(lines)
-
-
 def cmd_analyze(args):
     data = load_csv(args.data).select(args.response,
                                       _split_covariates(args.covariates))
     table = correlation_table(data)
     print("correlations:")
-    print(_matrix_text(table.names, table.r, ".4f"))
+    print(matrix_text(table.names, table.r))
     print("p-values:")
-    print(_matrix_text(table.names, table.p, ".4f"))
+    print(matrix_text(table.names, table.p))
     report = bootstrap_efficiency(data, B=args.bootstrap, seed=args.seed)
     print(report)
     if args.bootstrap < 1000:

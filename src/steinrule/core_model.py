@@ -1,10 +1,7 @@
 """Regression instances, the competing estimators, and the exact joint
 second-moment structure of (base - truth, competitor - truth)."""
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 # relative eigenvalue cutoff separating factor rank from float noise
 RANK_TOL = 1e-10
@@ -70,26 +67,6 @@ def _design_rank(X, raise_on_deficient=False):
     if raise_on_deficient and rank < k:
         raise RankDeficientError(f"design matrix has rank {rank}, expected {k}")
     return rank
-
-
-@dataclass
-class EstimatePair:
-    """The base estimate and the competing estimate for one sample."""
-
-    beta_hat: np.ndarray
-    beta_tilde: np.ndarray
-
-    def __post_init__(self):
-        self.beta_hat = np.asarray(self.beta_hat, dtype=float)
-        self.beta_tilde = np.asarray(self.beta_tilde, dtype=float)
-        if self.beta_hat.shape != self.beta_tilde.shape or self.beta_hat.ndim != 1:
-            raise ValueError("estimates must be 1-d vectors of equal length")
-        if not (np.isfinite(self.beta_hat).all() and np.isfinite(self.beta_tilde).all()):
-            raise ValueError("estimates must be finite")
-
-    @property
-    def difference(self):
-        return self.beta_hat - self.beta_tilde
 
 
 class LinearRestriction:
@@ -227,26 +204,37 @@ def fit_diag_competitor(model):
     return (model.X.T @ model.y) / d
 
 
+def restriction_projection(XtX, restriction):
+    """The projection J = G Rmat' (Rmat G Rmat')^-1 with G = (X'X)^-1.
+
+    The restricted fit is beta_hat - J (Rmat beta_hat - r). Raises
+    RestrictionError when the restriction does not match the design or
+    Rmat G Rmat' is singular.
+    """
+    if restriction.k != XtX.shape[0]:
+        raise RestrictionError(
+            f"restriction is on {restriction.k} coefficients, model has {XtX.shape[0]}"
+        )
+    GRt = np.linalg.solve(XtX, restriction.Rmat.T)
+    S = restriction.Rmat @ GRt
+    S = 0.5 * (S + S.T)
+    # the factor is only the positive-definiteness test; S itself is solved
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        raise RestrictionError("Rmat (X'X)^-1 Rmat' is singular") from None
+    return GRt @ np.linalg.solve(S, np.eye(restriction.q))
+
+
 def fit_restricted(model, restriction):
     """Least squares under the constraint Rmat @ beta = r.
 
-    Returns beta_hat - J (Rmat beta_hat - r) with
-    J = (X'X)^-1 Rmat' [Rmat (X'X)^-1 Rmat']^-1, so the output satisfies
-    the constraint exactly.
+    Returns beta_hat - J (Rmat beta_hat - r), J from restriction_projection,
+    so the output satisfies the constraint exactly.
     """
-    if restriction.k != model.k:
-        raise RestrictionError(
-            f"restriction is on {restriction.k} coefficients, model has {model.k}"
-        )
+    J = restriction_projection(model.X.T @ model.X, restriction)
     beta_hat = fit_ols(model)
-    XtX = model.X.T @ model.X
-    GRt = np.linalg.solve(XtX, restriction.Rmat.T)
-    S = restriction.Rmat @ GRt
-    try:
-        cf = cho_factor(0.5 * (S + S.T))
-    except np.linalg.LinAlgError:
-        raise RestrictionError("Rmat (X'X)^-1 Rmat' is singular") from None
-    return beta_hat - GRt @ cho_solve(cf, restriction.Rmat @ beta_hat - restriction.r)
+    return beta_hat - J @ (restriction.Rmat @ beta_hat - restriction.r)
 
 
 def joint_moments_diag(model, beta_true):
@@ -274,27 +262,17 @@ def joint_moments_diag(model, beta_true):
 def joint_moments_restricted(model, restriction, beta_true):
     """Joint moment structure when the competitor is the restricted fit.
 
-    With J as in fit_restricted, Sigma = Phi = A - J Rmat A (the product
-    J Rmat A is symmetric in exact arithmetic), so the difference
+    With J from restriction_projection, Sigma = Phi = A - J Rmat A (the
+    product J Rmat A is symmetric in exact arithmetic), so the difference
     covariance is J Rmat A with rank q and the factor is singular for
     q < k. The bias is gamma = -J (Rmat beta_true - r).
     """
-    if restriction.k != model.k:
-        raise RestrictionError(
-            f"restriction is on {restriction.k} coefficients, model has {model.k}"
-        )
+    XtX = model.X.T @ model.X
+    J = restriction_projection(XtX, restriction)
     beta_true = np.asarray(beta_true, dtype=float)
     sig2 = model.sigma**2
-    XtX = model.X.T @ model.X
     G = np.linalg.inv(XtX)
     A = sig2 * 0.5 * (G + G.T)
-    GRt = np.linalg.solve(XtX, restriction.Rmat.T)
-    S = restriction.Rmat @ GRt
-    try:
-        cf = cho_factor(0.5 * (S + S.T))
-    except np.linalg.LinAlgError:
-        raise RestrictionError("Rmat (X'X)^-1 Rmat' is singular") from None
-    J = GRt @ cho_solve(cf, np.eye(restriction.q))
     JRA = J @ (restriction.Rmat @ A)
     JRA = 0.5 * (JRA + JRA.T)
     gamma = -J @ (restriction.Rmat @ beta_true - restriction.r)

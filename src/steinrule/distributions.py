@@ -1,23 +1,19 @@
 """Samplers for the joint law of the estimator errors (Gaussian, scale
 mixtures of Gaussians, restriction-induced singular Gaussians) and the
-inverse-moment series they are checked against."""
+closed-form inverse moments they are checked against."""
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import gammaincinv, gammaln
+from scipy.special import gammaincinv, hyp1f1, hyp2f1
 
 from . import _rng
-from .core_model import PSD_TOL, MomentConsistencyError
+from .core_model import PSD_TOL, MomentConsistencyError, restriction_projection
 
 DIRAC_AT_ONE = "dirac-at-one"
 GAMMA_MIXTURE = "gamma-mixture"
 TWO_POINT_MIXTURE = "two-point-mixture"
-
-SERIES_TAIL = 1e-12
 
 
 class DivergentMomentError(ValueError):
@@ -134,9 +130,7 @@ def sample_joint_singular(model, restriction, beta_true, sigma, count, seed, sta
     X = model.X
     XtX = X.T @ X
     XG = X @ np.linalg.inv(XtX)
-    GRt = np.linalg.solve(XtX, restriction.Rmat.T)
-    S = restriction.Rmat @ GRt
-    J = GRt @ np.linalg.solve(0.5 * (S + S.T), np.eye(restriction.q))
+    J = restriction_projection(XtX, restriction)
 
     eps = sigma * _rng.normals(seed, count, model.n, stream=_rng.STREAM_NOISE,
                                start=start)
@@ -149,37 +143,25 @@ def sample_joint_singular(model, restriction, beta_true, sigma, count, seed, sta
 
 def inv_chisq_mean(k, lam):
     """Mean of the inverse noncentral chi-square with k degrees of freedom
-    and noncentrality lam, through its Poisson mixture of central terms:
+    and noncentrality lam, in closed form (Bock, Judge and Yancey 1984):
 
-        sum_j Poisson(lam/2)(j) / (k + 2j - 2)
-
-    truncated once the remaining Poisson mass over the next denominator
-    drops below 1e-12, a true tail bound since the terms decrease in j.
+        1F1(1; k/2; -lam/2) / (k - 2)
     """
     if k <= 2:
         raise DivergentMomentError(f"inverse mean needs k >= 3, got k={k}")
     if lam < 0:
         raise ValueError(f"noncentrality must be nonnegative, got {lam}")
-    half = lam / 2.0
-    if half == 0.0:
-        return 1.0 / (k - 2)
-    log_half = math.log(half)
-    total = 0.0
-    cum = 0.0
-    j = 0
-    while True:
-        weight = math.exp(-half + j * log_half - gammaln(j + 1))
-        total += weight / (k + 2 * j - 2)
-        cum += weight
-        j += 1
-        if (1.0 - cum) / (k + 2 * j - 2) < SERIES_TAIL:
-            return total
+    return float(hyp1f1(1.0, k / 2.0, -lam / 2.0)) / (k - 2)
 
 
 def elliptical_inv_quadnorm_mean(spec, k, mu_sq=0.0):
     """E[1 / Z'Z] for an elliptical Z with identity shape, dimension k, and
     location norm-squared mu_sq: the inverse chi-square mean mixed over the
-    scale, E_z[z * inv_chisq_mean(k, z * mu_sq)]."""
+    scale, E_z[z * inv_chisq_mean(k, z * mu_sq)].
+
+    For Gamma(a, rate a) mixing, a = nu/2, the mixture sums term by term to
+    2F1(1, a + 1; k/2; -mu_sq / (2a)) / (k - 2).
+    """
     if k <= 2:
         raise DivergentMomentError(f"inverse quadratic mean needs k >= 3, got k={k}")
     if spec.kind == DIRAC_AT_ONE:
@@ -188,10 +170,4 @@ def elliptical_inv_quadnorm_mean(spec, k, mu_sq=0.0):
         return (spec.w * spec.z1 * inv_chisq_mean(k, spec.z1 * mu_sq)
                 + (1.0 - spec.w) * spec.z2 * inv_chisq_mean(k, spec.z2 * mu_sq))
     a = spec.nu / 2.0
-
-    def integrand(t):
-        log_dens = a * math.log(a) + (a - 1.0) * math.log(t) - a * t - gammaln(a)
-        return t * math.exp(log_dens) * inv_chisq_mean(k, t * mu_sq)
-
-    value, _ = quad(integrand, 0.0, np.inf)
-    return value
+    return float(hyp2f1(1.0, a + 1.0, k / 2.0, -mu_sq / (2.0 * a))) / (k - 2)

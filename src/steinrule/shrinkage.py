@@ -6,7 +6,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core_model import fit_ols
 
@@ -99,25 +98,10 @@ class HFunction:
 
 
 def _smooth_inverse_q0(p):
-    # sup over s > 0 of s / (1 + s^(p/2)); at p = 2 the sup is the limit 1
-    if p == 2.0:
-        return 1.0
-    res = minimize_scalar(lambda t: -np.exp(t) / (1.0 + np.exp(t * p / 2.0)),
-                          bounds=(-40.0, 40.0), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(-res.fun)
-
-
-@dataclass(frozen=True)
-class ShrinkageSpec:
-    """One member of the class: a weight function and a fixed multiplier c."""
-
-    h: HFunction
-    c: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.c):
-            raise ValueError(f"c must be finite, got {self.c}")
+    # sup over s > 0 of s / (1 + s^a), a = p/2, attained at s^a = 1/(a - 1);
+    # at p = 2 the sup is the limit 1, which 0.0 ** 0.0 == 1.0 gives
+    a = p / 2.0
+    return (a - 1.0) ** (1.0 - 1.0 / a) / a
 
 
 @dataclass(frozen=True)
@@ -163,15 +147,6 @@ def apply_rule(beta_hat, beta_tilde, h, c):
         hv = np.where(degen, 0.0, hv)
     c = np.asarray(c, dtype=float)
     return beta_hat + (c * hv)[:, None] * diff
-
-
-def combine(pair, spec):
-    """Apply one ShrinkageSpec to one EstimatePair."""
-    return apply_rule(pair.beta_hat, pair.beta_tilde, spec.h, spec.c)[0]
-
-
-def combine_batch(beta_hat, beta_tilde, spec):
-    return apply_rule(beta_hat, beta_tilde, spec.h, spec.c)
 
 
 def spsl_c_hat(model, sigma_hat_matrix):

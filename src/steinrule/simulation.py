@@ -9,7 +9,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _rng
-from .core_model import LinearRestriction
+from .core_model import LinearRestriction, RestrictionError, restriction_projection
 from .distributions import (
     DIRAC_AT_ONE,
     GAMMA_MIXTURE,
@@ -24,7 +24,6 @@ from .shrinkage import (
     ZERO,
     EstimatorDef,
     HFunction,
-    ShrinkageSpec,
     apply_rule,
     spsl,
 )
@@ -75,12 +74,7 @@ class SimConfig:
             raise ConfigError("beta_norms must be a nonempty list of positive reals")
         if isinstance(self.competitor, str) and self.competitor != DIAG:
             raise ConfigError(f"unknown competitor {self.competitor!r}")
-        defs = []
-        for est in (self.estimators or (spsl(),)):
-            if isinstance(est, ShrinkageSpec):
-                est = EstimatorDef(f"{est.h.kind}[c={est.c:g}]", est.h, est.c)
-            defs.append(est)
-        self.estimators = tuple(defs)
+        self.estimators = tuple(self.estimators or (spsl(),))
         if self.gamma_norms is not None:
             self.gamma_norms = tuple(float(g) for g in self.gamma_norms)
             if any(g < 0 for g in self.gamma_norms):
@@ -323,10 +317,7 @@ def gamma_sweep(config, gamma_norms=None):
     for cell_id, gamma_sq_target in enumerate(gamma_norms):
         X = generate_design(config.n, config.k, config.rho,
                             _rng.spawn_seed(config.seed, cell_id, 0))
-        XtX = X.T @ X
-        GRt = np.linalg.solve(XtX, base.Rmat.T)
-        S = base.Rmat @ GRt
-        J = GRt @ np.linalg.solve(0.5 * (S + S.T), np.eye(base.q))
+        J = restriction_projection(X.T @ X, base)
         u = np.ones(base.q) / np.sqrt(base.q)
         Ju = J @ u
         scale = np.sqrt(gamma_sq_target / float(Ju @ Ju))
@@ -345,59 +336,57 @@ def _run_cell(config, cell_id, X, beta, competitor):
     """All replications of one cell, vectorized. Returns the per-estimator
     (name, rmse, se) triples and the realized squared bias norm."""
     n, k, reps = config.n, config.k, config.replications
+    XtX = X.T @ X
     try:
-        XtX = X.T @ X
         G = np.linalg.inv(XtX)
-        XG = X @ G
-        trace_G = float(np.trace(G))
-
-        noise_seed = _rng.spawn_seed(config.seed, cell_id, 1)
-        mix_seed = _rng.spawn_seed(config.seed, cell_id, 2)
-        g = _rng.normals(noise_seed, reps, n, stream=_rng.STREAM_NOISE)
-        z = config.distribution.mixing_draws(mix_seed, reps)
-        eps = (config.sigma / np.sqrt(z))[:, None] * g
-
-        U1 = eps @ XG
-        beta_hat = beta + U1
-        if competitor == DIAG:
-            d = np.diag(XtX)
-            beta_tilde = (XtX @ beta) / d + eps @ (X / d)
-            gamma = (XtX @ beta) / d - beta
-            # trace of S^2 D^-1 relative to S^2
-            sigma_trace = float(np.sum(1.0 / d))
-            gap_factor = trace_G - sigma_trace
-        else:
-            GRt = np.linalg.solve(XtX, competitor.Rmat.T)
-            S = competitor.Rmat @ GRt
-            J = GRt @ np.linalg.solve(0.5 * (S + S.T), np.eye(competitor.q))
-            beta_tilde = beta_hat - (beta_hat @ competitor.Rmat.T
-                                     - competitor.r) @ J.T
-            gamma = -J @ (competitor.Rmat @ beta - competitor.r)
-            # trace of S^2 (G - J Rmat G) relative to S^2
-            gap_factor = float(np.trace(J @ (competitor.Rmat @ G)))
-
-        resid = eps - U1 @ X.T
-        s2 = np.einsum("ij,ij->i", resid, resid) / (n - k)
-        a_hat = s2 * gap_factor
-
-        # same float path as the estimator losses below, so a zero-weight
-        # control reproduces the base loss bitwise
-        base_dev = beta_hat - beta
-        base_loss = np.einsum("ij,ij->i", base_dev, base_dev)
-        den = base_loss.mean()
-        out = []
-        for est in config.estimators:
-            c = -a_hat if est.c is None else est.c
-            fitted = apply_rule(beta_hat, beta_tilde, est.h, c)
-            dev = fitted - beta
-            loss = np.einsum("ij,ij->i", dev, dev)
-            ratio = loss.mean() / den
-            centered = loss - ratio * base_loss
-            se = float(centered.std(ddof=1) / np.sqrt(reps) / den)
-            out.append((est.name, float(ratio), se))
-        return out, float(gamma @ gamma)
-    except Exception as exc:
+        J = None if competitor == DIAG else restriction_projection(XtX, competitor)
+    except (np.linalg.LinAlgError, RestrictionError) as exc:
         raise ConfigError(f"cell {cell_id} failed: {exc}") from exc
+    XG = X @ G
+    trace_G = float(np.trace(G))
+
+    noise_seed = _rng.spawn_seed(config.seed, cell_id, 1)
+    mix_seed = _rng.spawn_seed(config.seed, cell_id, 2)
+    g = _rng.normals(noise_seed, reps, n, stream=_rng.STREAM_NOISE)
+    z = config.distribution.mixing_draws(mix_seed, reps)
+    eps = (config.sigma / np.sqrt(z))[:, None] * g
+
+    U1 = eps @ XG
+    beta_hat = beta + U1
+    if competitor == DIAG:
+        d = np.diag(XtX)
+        beta_tilde = (XtX @ beta) / d + eps @ (X / d)
+        gamma = (XtX @ beta) / d - beta
+        # trace of S^2 D^-1 relative to S^2
+        sigma_trace = float(np.sum(1.0 / d))
+        gap_factor = trace_G - sigma_trace
+    else:
+        beta_tilde = beta_hat - (beta_hat @ competitor.Rmat.T
+                                 - competitor.r) @ J.T
+        gamma = -J @ (competitor.Rmat @ beta - competitor.r)
+        # trace of S^2 (G - J Rmat G) relative to S^2
+        gap_factor = float(np.trace(J @ (competitor.Rmat @ G)))
+
+    resid = eps - U1 @ X.T
+    s2 = np.einsum("ij,ij->i", resid, resid) / (n - k)
+    a_hat = s2 * gap_factor
+
+    # same float path as the estimator losses below, so a zero-weight
+    # control reproduces the base loss bitwise
+    base_dev = beta_hat - beta
+    base_loss = np.einsum("ij,ij->i", base_dev, base_dev)
+    den = base_loss.mean()
+    out = []
+    for est in config.estimators:
+        c = -a_hat if est.c is None else est.c
+        fitted = apply_rule(beta_hat, beta_tilde, est.h, c)
+        dev = fitted - beta
+        loss = np.einsum("ij,ij->i", dev, dev)
+        ratio = loss.mean() / den
+        centered = loss - ratio * base_loss
+        se = float(centered.std(ddof=1) / np.sqrt(reps) / den)
+        out.append((est.name, float(ratio), se))
+    return out, float(gamma @ gamma)
 
 
 def _metadata(config, **extra):

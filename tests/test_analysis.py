@@ -212,6 +212,19 @@ class TestBootstrapEfficiency:
                             "efficiency_se", "B", "seed"}
         assert doc["B"] == 200
 
+    def test_json_reports_redraws(self, tmp_path):
+        # a dummy column set in one row of eight: resamples that miss the
+        # row lose rank and are redrawn, and the report must say how often
+        path = tmp_path / "sparse.csv"
+        rows = ["y,x,d"] + [f"{0.3 * i + (i % 3)},{i},{int(i == 0)}"
+                            for i in range(8)]
+        path.write_text("\n".join(rows) + "\n")
+        data = load_csv(path).select("y", ["x", "d"])
+        rep = bootstrap_efficiency(data, B=200, seed=0)
+        doc = json.loads(rep.to_json())
+        assert rep.redraws > 0
+        assert doc["redraws"] == rep.redraws
+
     def test_str_report(self, smoke_model):
         text = str(bootstrap_efficiency(smoke_model, B=200, seed=0))
         assert "spsl" in text and "ls" in text

@@ -5,7 +5,6 @@ import pytest
 
 from steinrule import (
     DegenerateColumnError,
-    EstimatePair,
     JointMoments,
     LinearModel,
     LinearRestriction,
@@ -14,9 +13,12 @@ from steinrule import (
     RestrictionError,
     fit_diag_competitor,
     fit_ols,
+    SimConfig,
     fit_restricted,
+    gamma_sweep,
     joint_moments_diag,
     joint_moments_restricted,
+    sample_joint_singular,
 )
 
 
@@ -76,12 +78,6 @@ class TestLinearModel:
         X = np.column_stack([col, 2.0 * col])
         model = LinearModel(X, np.zeros(10), 1.0, validate=False)
         assert model.k == 2
-
-
-class TestEstimatePair:
-    def test_difference(self):
-        pair = EstimatePair(np.array([2.0, 1.0]), np.array([0.5, 1.0]))
-        np.testing.assert_array_equal(pair.difference, [1.5, 0.0])
 
 
 class TestFitOls:
@@ -193,12 +189,22 @@ class TestFitRestricted:
 
     def test_singular_projection_raises(self):
         # unreachable through validated inputs, so degrade the restriction
-        # matrix after construction to exercise the defensive path
-        model, _ = random_model(20, 3, 1.0, 12)
+        # matrix after construction to exercise the defensive path; every
+        # caller of the projection reports it the same way
+        model, beta = random_model(20, 3, 1.0, 12)
         restriction = LinearRestriction(np.eye(1, 3), np.zeros(1))
         restriction.Rmat = np.zeros((1, 3))
-        with pytest.raises(RestrictionError):
-            fit_restricted(model, restriction)
+        config = SimConfig(n=20, k=3, sigma=1.0, rho=0.3, beta_norms=(1.0,),
+                           replications=100, seed=0, competitor=restriction)
+        calls = (
+            lambda: fit_restricted(model, restriction),
+            lambda: joint_moments_restricted(model, restriction, beta),
+            lambda: sample_joint_singular(model, restriction, beta, 1.0, 10, 0),
+            lambda: gamma_sweep(config, gamma_norms=(1.0,)),
+        )
+        for call in calls:
+            with pytest.raises(RestrictionError, match="singular"):
+                call()
 
 
 class TestJointMomentsContainer:

@@ -1,4 +1,4 @@
-"""Joint samplers, mixing laws, and the inverse-moment series.
+"""Joint samplers, mixing laws, and the closed-form inverse moments.
 
 Monte Carlo comparisons here use plain numpy generators as the
 independent reference, never the package's own streams.
@@ -236,6 +236,13 @@ class TestInvChisqMean:
             values = [inv_chisq_mean(k, lam) for k in range(3, 10)]
             assert all(a > b for a, b in zip(values, values[1:]))
 
+    def test_exact_at_four_degrees_across_noncentralities(self):
+        # k = 4 has the elementary form (1 - exp(-lam/2)) / lam; the value
+        # must stay accurate in relative terms however large lam gets
+        for lam in (0.5, 20.0, 1e3, 1e5):
+            exact = -np.expm1(-lam / 2.0) / lam
+            assert inv_chisq_mean(4, lam) == pytest.approx(exact, rel=1e-13, abs=0)
+
     def test_divergent_degrees_raise(self):
         with pytest.raises(DivergentMomentError):
             inv_chisq_mean(2, 0.0)
@@ -274,6 +281,16 @@ class TestEllipticalInvQuadnormMean:
             se = inv.std(ddof=1) / np.sqrt(n)
             assert elliptical_inv_quadnorm_mean(spec, k, mu_sq) == pytest.approx(
                 inv.mean(), abs=4 * se)
+
+    def test_gamma_mixture_exact_at_four_dimensions(self):
+        # k = 4 mixes to (1 - (1 + mu_sq / (2a))^-a) / mu_sq with a = nu/2
+        for nu in (2.1, 5.0):
+            a = nu / 2.0
+            spec = EllipticalSpec.gamma_mixture(nu)
+            for mu_sq in (1.5, 200.0, 1000.0):
+                exact = -np.expm1(-a * np.log1p(mu_sq / (2.0 * a))) / mu_sq
+                assert elliptical_inv_quadnorm_mean(spec, 4, mu_sq) == pytest.approx(
+                    exact, rel=1e-13, abs=0)
 
     def test_divergent_dimension_raises(self):
         with pytest.raises(DivergentMomentError):

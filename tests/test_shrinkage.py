@@ -5,15 +5,11 @@ import pytest
 
 from steinrule import (
     DegenerateDifferenceWarning,
-    EstimatePair,
     EstimatorDef,
     HFunction,
     InvalidRiskMomentError,
     LinearModel,
-    ShrinkageSpec,
     apply_rule,
-    combine,
-    combine_batch,
     dominance_interval,
     fit_ols,
     optimal_c,
@@ -61,12 +57,14 @@ class TestHFunction:
         # q0 is sup over s > 0 of s / (1 + s^(p/2)) times the norm factor:
         # compare the stored constant with a brute-force scan of
         # h(d) * ||d||^2 over difference norms
-        for p, expect in ((2.0, 1.0), (4.0, 0.5)):
+        norms = np.exp(np.linspace(-12.0, 12.0, 200_001))
+        for p in (2.0, 2.5, 3.0, 4.0, 6.0, 10.0, 40.0):
             h = HFunction.smooth_inverse(p)
-            norms = np.exp(np.linspace(-12.0, 12.0, 20_001))
             ratio = norms ** 2 / (1.0 + norms ** p)
+            assert ratio.max() <= h.q0 * (1 + 1e-12)
             assert h.q0 == pytest.approx(ratio.max(), rel=1e-6)
-            assert h.q0 == pytest.approx(expect, rel=1e-9)
+        for p, expect in ((2.0, 1.0), (4.0, 0.5)):
+            assert HFunction.smooth_inverse(p).q0 == pytest.approx(expect, rel=1e-9)
 
     def test_weight_norm_product_capped_by_q0(self):
         rng = np.random.default_rng(1)
@@ -84,23 +82,21 @@ class TestHFunction:
 
 class TestApplyRule:
     def test_zero_weight_returns_base(self):
-        pair = EstimatePair(np.array([2.0, 1.0]), np.array([0.0, 0.0]))
-        out = combine(pair, ShrinkageSpec(HFunction.zero(), 5.0))
-        np.testing.assert_array_equal(out, pair.beta_hat)
+        bh, bt = np.array([2.0, 1.0]), np.array([0.0, 0.0])
+        out = apply_rule(bh, bt, HFunction.zero(), 5.0)[0]
+        np.testing.assert_array_equal(out, bh)
 
     def test_unit_weight_full_negative_step_gives_competitor(self):
-        pair = EstimatePair(np.array([2.0, 1.0]), np.array([-1.0, 3.0]))
-        out = combine(pair, ShrinkageSpec(HFunction.one(), -1.0))
-        np.testing.assert_allclose(out, pair.beta_tilde)
+        bh, bt = np.array([2.0, 1.0]), np.array([-1.0, 3.0])
+        out = apply_rule(bh, bt, HFunction.one(), -1.0)[0]
+        np.testing.assert_allclose(out, bt)
 
     def test_inverse_sq_norm_moves_along_difference(self):
         bh = np.array([2.0, 0.0, 0.0])
         bt = np.zeros(3)
         h = HFunction.inverse_sq_norm()
-        np.testing.assert_allclose(
-            combine(EstimatePair(bh, bt), ShrinkageSpec(h, 1.0)), [2.5, 0, 0])
-        np.testing.assert_allclose(
-            combine(EstimatePair(bh, bt), ShrinkageSpec(h, -1.0)), [1.5, 0, 0])
+        np.testing.assert_allclose(apply_rule(bh, bt, h, 1.0)[0], [2.5, 0, 0])
+        np.testing.assert_allclose(apply_rule(bh, bt, h, -1.0)[0], [1.5, 0, 0])
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(2)
@@ -127,11 +123,10 @@ class TestApplyRule:
         rng = np.random.default_rng(3)
         a = rng.normal(size=(7, 3))
         b = rng.normal(size=(7, 3))
-        spec = ShrinkageSpec(HFunction.smooth_inverse(2.0), -0.4)
-        batch = combine_batch(a, b, spec)
+        h = HFunction.smooth_inverse(2.0)
+        batch = apply_rule(a, b, h, -0.4)
         for i in range(7):
-            np.testing.assert_allclose(
-                batch[i], combine(EstimatePair(a[i], b[i]), spec))
+            np.testing.assert_allclose(batch[i], apply_rule(a[i], b[i], h, -0.4)[0])
 
 
 class TestEstimatorDef:
@@ -145,7 +140,7 @@ class TestEstimatorDef:
 
     def test_spec_rejects_nonfinite_c(self):
         with pytest.raises(ValueError):
-            ShrinkageSpec(HFunction.one(), np.inf)
+            EstimatorDef("bad", HFunction.one(), np.inf)
 
 
 class TestSpslCHat:

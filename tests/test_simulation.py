@@ -10,6 +10,7 @@ from steinrule import (
     EstimatorDef,
     HFunction,
     LinearRestriction,
+    RestrictionError,
     SimConfig,
     SweepResult,
     gamma_sweep,
@@ -188,6 +189,22 @@ class TestRunSweep:
                           replications=2_000)
         res = run_sweep(cfg)
         assert all(np.isfinite(r.rmse) for r in res.rows)
+
+    def test_weight_bug_is_not_a_config_error(self):
+        def broken(x, y):
+            raise TypeError("bug in weight")
+
+        cfg = base_config(estimators=(
+            EstimatorDef("broken", HFunction.custom(broken, q0=1.0), 0.5),))
+        with pytest.raises(TypeError, match="bug in weight"):
+            run_sweep(cfg)
+
+    def test_singular_restriction_is_a_config_error(self):
+        restriction = LinearRestriction(np.eye(1, 3), np.zeros(1))
+        restriction.Rmat = np.zeros((1, 3))
+        with pytest.raises(ConfigError, match="cell 0 failed") as info:
+            run_sweep(base_config(competitor=restriction))
+        assert isinstance(info.value.__cause__, RestrictionError)
 
 
 class TestGammaSweep:
