@@ -51,14 +51,11 @@ from .risk_bounds import (
     check_prop_eta_omega,
     check_singular_omega,
     default_bound_suite,
-    elliptical_sampler,
     estimate_risk_moments,
-    gaussian_sampler,
     identity_instance,
     mse_analytic,
     mse_empirical,
     restricted_instance,
-    singular_sampler,
 )
 from .simulation import (
     ConfigError,

@@ -13,6 +13,7 @@ from scipy.special import stdtr
 from . import _rng
 from .core_model import LinearModel, _design_rank, fit_diag_competitor, fit_ols
 from .shrinkage import apply_rule, spsl, spsl_c_hat
+from .simulation import relative_mse
 
 
 class DataError(ValueError):
@@ -283,11 +284,7 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
             dev = vec - reference
             losses[est.name][b] = float(dev @ dev)
 
-    base_mse = losses["ls"].mean()
     efficiency, spread = {}, {}
     for nm, arr in losses.items():
-        ratio = arr.mean() / base_mse
-        centered = arr - ratio * losses["ls"]
-        efficiency[nm] = float(ratio)
-        spread[nm] = float(centered.std(ddof=1) / np.sqrt(B) / base_mse)
+        efficiency[nm], spread[nm] = relative_mse(arr, losses["ls"])
     return EfficiencyReport(full, efficiency, spread, B, seed, redraws)

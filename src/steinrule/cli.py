@@ -18,18 +18,12 @@ from .analysis import (
 from .distributions import EllipticalSpec
 from .risk_bounds import (
     biased_instance,
-    check_born1,
-    check_born2,
-    check_corinterm,
     check_courant,
-    check_elliptical_omega,
-    check_prop_eta_omega,
-    check_singular_omega,
-    estimate_risk_moments,
-    gaussian_sampler,
+    elliptical_suite,
+    gaussian_suite,
     identity_instance,
     restricted_instance,
-    singular_sampler,
+    singular_suite,
 )
 from .shrinkage import EstimatorDef, HFunction
 from .simulation import ConfigError, SimConfig, gamma_sweep, run_sweep
@@ -111,44 +105,32 @@ def cmd_verify_bounds(args):
         print("k <= 2 makes the inverse moments divergent; "
               "pass --allow-divergent to proceed", file=sys.stderr)
         return 2
+    if args.singular is not None and not 1 <= args.singular <= args.k:
+        print(f"error: --singular must lie in 1..{args.k}", file=sys.stderr)
+        return 2
     count, seed = args.samples, args.seed
-    reports = []
-    h_inv = HFunction.inverse_sq_norm()
-    for label, m in (("identity", identity_instance(args.k)),
-                     ("biased", biased_instance(args.k))):
-        sampler = gaussian_sampler(m)
-        moments = estimate_risk_moments(m, h_inv, sampler, count, seed)
-        for rep in check_prop_eta_omega(moments, h_inv.q0):
-            reports.append((label, rep))
-        for alpha in (0.5, 1.0, 2.0):
-            reports.append((label, check_born1(m, sampler, alpha, count, seed)))
-        reports.append((label, check_born2(m, sampler, 1.0, count, seed)))
-        reports.append((label, check_corinterm(m, moments)))
+    sections = [(label, gaussian_suite(m, label, count, seed))
+                for label, m in (("identity", identity_instance(args.k)),
+                                 ("biased", biased_instance(args.k)))]
     if args.elliptical is not None:
         spec = EllipticalSpec.gamma_mixture(args.elliptical)
-        for rep in check_elliptical_omega(biased_instance(args.k), spec,
-                                          count, seed):
-            reports.append(("elliptical", rep))
+        sections.append(("elliptical", elliptical_suite(
+            biased_instance(args.k), spec, f"biased/gamma-nu{args.elliptical:g}",
+            count, seed)))
     if args.singular is not None:
-        if not 1 <= args.singular <= args.k:
-            print(f"error: --singular must lie in 1..{args.k}", file=sys.stderr)
-            return 2
-        model, restriction, beta_true, ms = restricted_instance(
-            k=args.k, q=args.singular)
-        sampler = singular_sampler(model, restriction, beta_true, model.sigma)
-        for rep in check_singular_omega(ms, h_inv, np.linalg.inv(ms.A),
-                                        sampler, count, seed):
-            reports.append(("singular", rep))
+        instance = restricted_instance(k=args.k, q=args.singular)
+        sections.append(("singular", singular_suite(
+            instance, f"restricted-q{args.singular}", count, seed)))
     # fixed nonsymmetric matrix with mixed-sign entries
     courant_matrix = np.arange(1.0, 1.0 + args.k * args.k).reshape(args.k, args.k)
     courant_matrix[0, -1] *= -1.0
-    for rep in check_courant(courant_matrix, 10_000, seed):
-        reports.append(("courant", rep))
+    sections.append(("courant", check_courant(courant_matrix, 10_000, seed)))
 
     ok = True
-    for label, rep in reports:
-        ok = ok and rep.holds
-        print(f"[{label}] {rep}")
+    for label, reports in sections:
+        for rep in reports:
+            ok = ok and rep.holds
+            print(f"[{label}] {rep}")
     print("all bounds hold" if ok else "BOUND VIOLATION")
     return 0 if ok else 1
 

@@ -47,7 +47,6 @@ class RiskMoments:
     se_eta_ddag: float
     se_omega: float
     count: int
-    seed: int
     unreliable: bool = False
 
 
@@ -72,27 +71,16 @@ class BoundReport:
                 f"slack={self.slack:.3g} tol={self.tolerance:.3g} [{state}]")
 
 
-def gaussian_sampler(m):
-    """(count, seed) -> (U1, U2) under the exact Gaussian joint law."""
-    return lambda count, seed: sample_joint_gaussian(m, count, seed)
-
-
-def elliptical_sampler(m, spec):
-    return lambda count, seed: sample_joint_elliptical(m, spec, count, seed)
-
-
-def singular_sampler(model, restriction, beta_true, sigma):
-    return lambda count, seed: sample_joint_singular(
-        model, restriction, beta_true, sigma, count, seed)
-
-
 def _mean_se(terms):
     n = terms.shape[0]
+    if n < 2:
+        raise ValueError(f"need at least 2 draws for a mean and its "
+                         f"standard error, got {n}")
     return float(terms.mean()), float(terms.std(ddof=1) / np.sqrt(n))
 
 
-def estimate_risk_moments(m, h, sampler, count, seed):
-    """Estimate all five moments from one shared set of draws.
+def estimate_risk_moments(m, h, U1, U2):
+    """Estimate all five moments from one shared set of draws (U1, U2).
 
     The factor-coordinate terms use the identity P Z = U1 - U2 (true
     almost surely, also in the singular case), so the cross term is
@@ -101,7 +89,6 @@ def estimate_risk_moments(m, h, sampler, count, seed):
     Weights that inspect more than the difference are evaluated with the
     truth at the origin.
     """
-    U1, U2 = sampler(count, seed)
     diff = U1 - U2
     sq = np.einsum("ij,ij->i", diff, diff)
     cross = np.einsum("ij,ij->i", U1, diff)
@@ -125,7 +112,7 @@ def estimate_risk_moments(m, h, sampler, count, seed):
     omega, se_omega = _mean_se(omega_terms)
     return RiskMoments(eta_h, omega_h, eta, eta_ddag, omega,
                        se_eta_h, se_omega_h, se_eta, se_eta_ddag, se_omega,
-                       count=count, seed=seed, unreliable=m.q <= 2)
+                       count=U1.shape[0], unreliable=m.q <= 2)
 
 
 def mse_analytic(m, moments, c):
@@ -139,13 +126,12 @@ def mse_analytic(m, moments, c):
     return m.trace_A - 2.0 * c * moments.eta_h + c * c * moments.omega_h
 
 
-def mse_empirical(m, h, c, sampler, count, seed):
-    """Mean squared distance from the truth over fresh draws, with its SE.
+def mse_empirical(m, h, c, U1, U2):
+    """Mean squared distance from the truth over the draws, with its SE.
 
     Takes the same shrink-weight c as mse_analytic; the two agree within
     Monte Carlo error for every c, which is the decomposition identity.
     """
-    U1, U2 = sampler(count, seed)
     est = apply_rule(U1, U2, h, -c)
     return _mean_se(np.einsum("ij,ij->i", est, est))
 
@@ -161,38 +147,36 @@ def check_prop_eta_omega(moments, q0):
     return r_eta, r_omega
 
 
-def check_born1(m, sampler, alpha, count, seed):
-    """Cross term restricted to the small-norm window, against the
-    window-squared cap alpha^2 psi1 omega / 2."""
+def _window_terms(m, U1, U2, alpha):
+    """Per draw: 1 / sq, |cross| / sq, and the squared window norm
+    ||U1||^2 + ||Z||^2 that the cross-term bounds split at alpha^2."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    U1, U2 = sampler(count, seed)
     diff = U1 - U2
     sq = np.einsum("ij,ij->i", diff, diff)
     Z = m.factor_coords(diff)
     w_sq = np.einsum("ij,ij->i", U1, U1) + np.einsum("ij,ij->i", Z, Z)
     with np.errstate(divide="ignore"):
+        inv_sq = 1.0 / sq
         core = np.abs(np.einsum("ij,ij->i", U1, diff)) / sq
-        omega_terms = 1.0 / sq
+    return inv_sq, core, w_sq
+
+
+def check_born1(m, U1, U2, alpha):
+    """Cross term restricted to the small-norm window, against the
+    window-squared cap alpha^2 psi1 omega / 2."""
+    inv_sq, core, w_sq = _window_terms(m, U1, U2, alpha)
     lhs, se_lhs = _mean_se(np.where(w_sq <= alpha * alpha, core, 0.0))
-    omega_hat, se_omega = _mean_se(omega_terms)
+    omega_hat, se_omega = _mean_se(inv_sq)
     scale = 0.5 * alpha * alpha * m.psi1
     return BoundReport.compare("cross-term-small-window", lhs, scale * omega_hat,
                                3.0 * (se_lhs + scale * se_omega))
 
 
-def check_born2(m, sampler, alpha, count, seed):
+def check_born2(m, U1, U2, alpha):
     """Cross term outside the window, against the analytic tail cap
     psi1 (trace A + q + mu'mu) / (alpha^2 psi0)."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    U1, U2 = sampler(count, seed)
-    diff = U1 - U2
-    sq = np.einsum("ij,ij->i", diff, diff)
-    Z = m.factor_coords(diff)
-    w_sq = np.einsum("ij,ij->i", U1, U1) + np.einsum("ij,ij->i", Z, Z)
-    with np.errstate(divide="ignore"):
-        core = np.abs(np.einsum("ij,ij->i", U1, diff)) / sq
+    _, core, w_sq = _window_terms(m, U1, U2, alpha)
     lhs, se_lhs = _mean_se(np.where(w_sq > alpha * alpha, core, 0.0))
     mu_sq = float(m.mu @ m.mu)
     rhs = m.psi1 * (m.trace_A + m.q + mu_sq) / (alpha * alpha * m.psi0)
@@ -236,7 +220,7 @@ def check_courant(C, trials, seed):
     return r1, r2, r3
 
 
-def check_singular_omega(m, h, Lambda, sampler, count, seed):
+def check_singular_omega(m, h, Lambda, U1, U2):
     """Curvature moment of a bounded weight against the trace cap that the
     singular theory gives under the projection conditions on Lambda.
 
@@ -260,7 +244,6 @@ def check_singular_omega(m, h, Lambda, sampler, count, seed):
     if not h.depends_only_on_difference:
         raise ValueError("weight must depend only on the difference")
 
-    U1, U2 = sampler(count, seed)
     diff = U1 - U2
     sq = np.einsum("ij,ij->i", diff, diff)
     hv = h._values_from(U1, U2, sq)
@@ -281,14 +264,13 @@ def check_singular_omega(m, h, Lambda, sampler, count, seed):
     return bound, mean_report
 
 
-def check_elliptical_omega(m, spec, count, seed):
-    """Inverse squared norm of the factor coordinates under mixture draws,
-    against the mixing-mean cap, plus the eigenvalue sandwich tying it to
-    the curvature moment. Three reports."""
+def check_elliptical_omega(m, spec, U1, U2):
+    """Inverse squared norm of the factor coordinates under draws from the
+    scale mixture spec, against the mixing-mean cap, plus the eigenvalue
+    sandwich tying it to the curvature moment. Three reports."""
     if m.q <= 2:
         raise DivergentMomentError(
             f"inverse norm moment needs factor dimension >= 3, got q={m.q}")
-    U1, U2 = sample_joint_elliptical(m, spec, count, seed)
     diff = U1 - U2
     sq = np.einsum("ij,ij->i", diff, diff)
     Z = m.factor_coords(diff)
@@ -345,42 +327,56 @@ def _tag(report, label):
     return replace(report, name=f"{report.name}[{label}]")
 
 
+def gaussian_suite(m, label, count, seed):
+    """Every Gaussian-law check on one instance, all on one draw, tagged
+    with label: the h-moment caps for the inverse-square-norm and
+    smooth-inverse-2 weights, the windowed cross-term bounds, and the
+    absolute cross-moment cap."""
+    U1, U2 = sample_joint_gaussian(m, count, seed)
+    reports, moments = [], {}
+    for h, hname in ((HFunction.inverse_sq_norm(), "inverse-sq-norm"),
+                     (HFunction.smooth_inverse(2.0), "smooth-inverse-2")):
+        moments[hname] = estimate_risk_moments(m, h, U1, U2)
+        reports += [_tag(rep, f"{label}/{hname}")
+                    for rep in check_prop_eta_omega(moments[hname], h.q0)]
+    reports += [_tag(check_born1(m, U1, U2, alpha), f"{label}/alpha={alpha:g}")
+                for alpha in (0.5, 1.0, 2.0)]
+    reports.append(_tag(check_born2(m, U1, U2, 1.0), f"{label}/alpha=1"))
+    reports.append(_tag(check_corinterm(m, moments["inverse-sq-norm"]), label))
+    return reports
+
+
+def elliptical_suite(m, spec, label, count, seed):
+    """The elliptical caps on one draw from the scale mixture spec."""
+    U1, U2 = sample_joint_elliptical(m, spec, count, seed)
+    return [_tag(rep, label) for rep in check_elliptical_omega(m, spec, U1, U2)]
+
+
+def singular_suite(instance, label, count, seed):
+    """The singular-covariance caps on one draw from a restricted instance
+    (model, restriction, beta_true, moments), with Lambda = A^-1 and the
+    inverse-square-norm weight."""
+    model, restriction, beta_true, ms = instance
+    U1, U2 = sample_joint_singular(model, restriction, beta_true, model.sigma,
+                                   count, seed)
+    return [_tag(rep, label) for rep in check_singular_omega(
+        ms, HFunction.inverse_sq_norm(), np.linalg.inv(ms.A), U1, U2)]
+
+
 def default_bound_suite(count=10**6, seed=DEFAULT_SEED):
     """Every inequality check on the standard instance set, in a fixed
-    order. All reports should hold.
+    order, each instance drawn once. All reports should hold.
 
     The strict elliptical cap is run on the biased instance: at zero bias
     the plain-Gaussian cap is an equality, which no finite-sample check
     can sit strictly below.
     """
     reports = []
-    h_inv = HFunction.inverse_sq_norm()
-    h_smooth = HFunction.smooth_inverse(2.0)
-
-    for label, m in (("identity", identity_instance()), ("biased", biased_instance())):
-        sampler = gaussian_sampler(m)
-        mo_inv = estimate_risk_moments(m, h_inv, sampler, count, seed)
-        mo_smooth = estimate_risk_moments(m, h_smooth, sampler, count, seed)
-        for mo, h, hname in ((mo_inv, h_inv, "inverse-sq-norm"),
-                             (mo_smooth, h_smooth, "smooth-inverse-2")):
-            for rep in check_prop_eta_omega(mo, h.q0):
-                reports.append(_tag(rep, f"{label}/{hname}"))
-        for alpha in (0.5, 1.0, 2.0):
-            reports.append(_tag(check_born1(m, sampler, alpha, count, seed),
-                                f"{label}/alpha={alpha:g}"))
-        reports.append(_tag(check_born2(m, sampler, 1.0, count, seed),
-                            f"{label}/alpha=1"))
-        reports.append(_tag(check_corinterm(m, mo_inv), label))
-
     biased = biased_instance()
+    for label, m in (("identity", identity_instance()), ("biased", biased)):
+        reports += gaussian_suite(m, label, count, seed)
     for spec, slabel in ((EllipticalSpec.dirac(), "dirac"),
                          (EllipticalSpec.gamma_mixture(5.0), "gamma-nu5")):
-        for rep in check_elliptical_omega(biased, spec, count, seed):
-            reports.append(_tag(rep, f"biased/{slabel}"))
-
-    model, restriction, beta_true, ms = restricted_instance()
-    sampler = singular_sampler(model, restriction, beta_true, model.sigma)
-    for rep in check_singular_omega(ms, h_inv, np.linalg.inv(ms.A),
-                                    sampler, count, seed):
-        reports.append(_tag(rep, "restricted-q3"))
+        reports += elliptical_suite(biased, spec, f"biased/{slabel}", count, seed)
+    reports += singular_suite(restricted_instance(), "restricted-q3", count, seed)
     return reports

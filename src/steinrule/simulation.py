@@ -3,6 +3,7 @@ vectorized replication cells, and relative mean square efficiency against
 the base estimator."""
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -57,6 +58,10 @@ class SimConfig:
     gamma_norms: Optional[tuple] = None
 
     def __post_init__(self):
+        for key in ("n", "k", "replications", "seed"):
+            value = getattr(self, key)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not self.n > self.k >= 2:
             raise ConfigError(f"need n > k >= 2, got n={self.n}, k={self.k}")
         if not self.sigma > 0:
@@ -123,18 +128,33 @@ class SimConfig:
         return doc
 
 
+def _object(obj, what):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
+def _number(obj, key, what):
+    value = obj.get(key)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{what} needs a number {key!r}, got {value!r}")
+    return value
+
+
 def _dist_from_json(obj):
     if obj is None or obj == DIRAC_AT_ONE:
         return EllipticalSpec.dirac()
     if isinstance(obj, str):
         raise ConfigError(f"unknown distribution {obj!r}")
-    kind = obj.get("kind")
+    kind = _object(obj, "distribution").get("kind")
+    what = f"distribution {kind!r}"
     if kind == DIRAC_AT_ONE:
         return EllipticalSpec.dirac()
     if kind == GAMMA_MIXTURE:
-        return EllipticalSpec.gamma_mixture(obj["nu"])
+        return EllipticalSpec.gamma_mixture(_number(obj, "nu", what))
     if kind == TWO_POINT_MIXTURE:
-        return EllipticalSpec.two_point(obj["z1"], obj["z2"], obj["w"])
+        return EllipticalSpec.two_point(
+            *(_number(obj, key, what) for key in ("z1", "z2", "w")))
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
@@ -169,9 +189,9 @@ def _h_from_json(obj):
         if obj == ONE:
             return HFunction.one()
         raise ConfigError(f"unknown weight {obj!r}")
-    kind = obj.get("kind")
+    kind = _object(obj, "weight").get("kind")
     if kind == SMOOTH_INVERSE:
-        return HFunction.smooth_inverse(obj["p"])
+        return HFunction.smooth_inverse(_number(obj, "p", f"weight {kind!r}"))
     if kind in (INVERSE_SQ_NORM, ZERO, ONE):
         return _h_from_json(kind)
     raise ConfigError(f"unknown weight kind {kind!r}")
@@ -186,7 +206,7 @@ def _h_to_json(h):
 
 
 def _estimator_from_json(obj):
-    name = obj.get("name")
+    name = _object(obj, "estimator").get("name")
     if not name:
         raise ConfigError("estimator entries need a name")
     h = _h_from_json(obj.get("h", INVERSE_SQ_NORM))
@@ -375,18 +395,23 @@ def _run_cell(config, cell_id, X, beta, competitor):
     # control reproduces the base loss bitwise
     base_dev = beta_hat - beta
     base_loss = np.einsum("ij,ij->i", base_dev, base_dev)
-    den = base_loss.mean()
     out = []
     for est in config.estimators:
         c = -a_hat if est.c is None else est.c
         fitted = apply_rule(beta_hat, beta_tilde, est.h, c)
         dev = fitted - beta
         loss = np.einsum("ij,ij->i", dev, dev)
-        ratio = loss.mean() / den
-        centered = loss - ratio * base_loss
-        se = float(centered.std(ddof=1) / np.sqrt(reps) / den)
-        out.append((est.name, float(ratio), se))
+        out.append((est.name, *relative_mse(loss, base_loss)))
     return out, float(gamma @ gamma)
+
+
+def relative_mse(loss, base_loss):
+    """Mean loss over the base mean loss, with a delta-method SE."""
+    base_mean = base_loss.mean()
+    ratio = loss.mean() / base_mean
+    centered = loss - ratio * base_loss
+    se = centered.std(ddof=1) / np.sqrt(loss.shape[0]) / base_mean
+    return float(ratio), float(se)
 
 
 def _metadata(config, **extra):

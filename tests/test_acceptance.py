@@ -28,17 +28,20 @@ from steinrule import (
     run_sweep,
 )
 from steinrule import _rng
-from steinrule.distributions import EllipticalSpec, inv_chisq_mean
+from steinrule.distributions import (
+    EllipticalSpec,
+    inv_chisq_mean,
+    sample_joint_gaussian,
+    sample_joint_singular,
+)
 from steinrule.risk_bounds import (
     check_courant,
     check_singular_omega,
     default_bound_suite,
     estimate_risk_moments,
-    gaussian_sampler,
     identity_instance,
     mse_analytic,
     mse_empirical,
-    singular_sampler,
 )
 from steinrule.shrinkage import dominance_interval, optimal_c
 from steinrule.simulation import generate_design, make_beta
@@ -110,13 +113,14 @@ class TestAcceptance:
         worst = 0.0
         for i in range(20):
             m = random_moments(3 + i % 3, 1000 + i)
-            sampler = gaussian_sampler(m)
+            # the moments and the empirical risk share one draw
+            U1, U2 = sample_joint_gaussian(m, 40_000, SEED + i)
             for h in (HFunction.inverse_sq_norm(),
                       HFunction.smooth_inverse(2.0)):
-                mom = estimate_risk_moments(m, h, sampler, 40_000, SEED + i)
+                mom = estimate_risk_moments(m, h, U1, U2)
                 for c in (-1.0, -0.3, 0.0, 0.6, 1.4):
                     ana = mse_analytic(m, mom, c)
-                    emp, se = mse_empirical(m, h, c, sampler, 40_000, SEED + i)
+                    emp, se = mse_empirical(m, h, c, U1, U2)
                     tol = 3 * (se + 2 * abs(c) * mom.se_eta_h
                                + c * c * mom.se_omega_h)
                     assert abs(emp - ana) <= tol, \
@@ -151,7 +155,7 @@ class TestAcceptance:
     def test_criterion_06_identity_instance_analytics(self):
         m = identity_instance(3)
         h = HFunction.inverse_sq_norm()
-        mom = estimate_risk_moments(m, h, gaussian_sampler(m), 1_000_000, SEED)
+        mom = estimate_risk_moments(m, h, *sample_joint_gaussian(m, 1_000_000, SEED))
         assert abs(mom.eta_h - 0.5) <= 3 * mom.se_eta_h
         assert abs(mom.eta - 0.5) <= 3 * mom.se_eta
         assert abs(mom.omega_h - 0.5) <= 3 * mom.se_omega_h
@@ -222,11 +226,13 @@ class TestAcceptance:
         assert np.abs(XiL @ XiL - XiL).max() <= 1e-8
         assert np.abs(L @ ms.Xi @ L @ ms.gamma - L @ ms.gamma).max() <= 1e-8
 
-        sampler = singular_sampler(model, restriction, beta, sigma)
-        for rep in check_singular_omega(ms, h, L, sampler, 100_000, SEED):
+        draws = sample_joint_singular(model, restriction, beta, sigma,
+                                      100_000, SEED)
+        for rep in check_singular_omega(ms, h, L, *draws):
             assert rep.holds, rep.name
 
-        mom = estimate_risk_moments(ms, h, sampler, 200_000, SEED)
+        mom = estimate_risk_moments(ms, h, *sample_joint_singular(
+            model, restriction, beta, sigma, 200_000, SEED))
         cstar = optimal_c(mom.eta_h, mom.omega_h)
         lo, hi = dominance_interval(mom.eta_h, mom.omega_h)
         assert lo < cstar < hi

@@ -6,6 +6,7 @@ import os
 import pytest
 
 from steinrule.cli import main
+from steinrule.risk_bounds import default_bound_suite
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "cigarette.csv")
 
@@ -66,6 +67,22 @@ class TestSimulate:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override, key", [
+        ({"distribution": {"kind": "gamma-mixture"}}, "'nu'"),
+        ({"estimators": [{"name": "s", "h": {"kind": "smooth-inverse"}}]}, "'p'"),
+        ({"estimators": ["spsl"]}, "estimator"),
+        ({"distribution": [1]}, "distribution"),
+        ({"replications": 200.5}, "replications"),
+    ])
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys,
+                                                override, key):
+        cfg = small_config(tmp_path, **override)
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "rows.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error" in err and key in err
+
 
 class TestVerifyBounds:
     def test_default_instances_hold(self, capsys):
@@ -73,6 +90,23 @@ class TestVerifyBounds:
         out = capsys.readouterr().out
         assert "all bounds hold" in out
         assert "[identity]" in out and "[biased]" in out
+
+    def test_prints_the_suite_gaussian_reports(self, capsys):
+        assert main(["verify-bounds", "--samples", "20000"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # the two Gaussian instances lead the suite, each with 9 reports
+        gaussian = default_bound_suite(count=20_000, seed=0)[:18]
+        assert any("smooth-inverse-2" in r.name for r in gaussian)
+        for r in gaussian:
+            label = r.name.split("[")[1].split("/")[0].rstrip("]")
+            assert f"[{label}] {r}" in lines
+
+    @pytest.mark.parametrize("samples", ["0", "1"])
+    def test_too_few_samples_is_an_error(self, samples, capsys):
+        assert main(["verify-bounds", "--samples", samples]) == 2
+        captured = capsys.readouterr()
+        assert "error: need at least 2 draws" in captured.err
+        assert "BOUND VIOLATION" not in captured.out
 
     def test_divergent_dimension_refused(self, capsys):
         assert main(["verify-bounds", "--k", "2"]) == 2

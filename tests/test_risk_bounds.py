@@ -21,14 +21,16 @@ from steinrule import (
     default_bound_suite,
     dominance_interval,
     estimate_risk_moments,
-    gaussian_sampler,
     identity_instance,
     mse_analytic,
     mse_empirical,
     optimal_c,
     restricted_instance,
-    singular_sampler,
+    sample_joint_elliptical,
+    sample_joint_gaussian,
+    sample_joint_singular,
 )
+from steinrule import risk_bounds
 
 H_INV = HFunction.inverse_sq_norm()
 
@@ -57,15 +59,15 @@ class TestEstimateRiskMoments:
     def test_identity_instance_constants(self):
         # both cross and squared moments sit at one half by symmetry
         m = identity_instance()
-        mo = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 300_000, 1)
+        mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 300_000, 1))
         assert mo.eta_h == pytest.approx(0.5, abs=3 * mo.se_eta_h)
         assert mo.omega_h == pytest.approx(0.5, abs=3 * mo.se_omega_h)
-        assert mo.count == 300_000 and mo.seed == 1
+        assert mo.count == 300_000
         assert not mo.unreliable
 
     def test_inverse_sq_norm_views_bit_equal(self):
         m = random_instance(4, 2)
-        mo = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 50_000, 3)
+        mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 50_000, 3))
         assert mo.eta_h == mo.eta
         assert mo.omega_h == mo.omega
         assert mo.se_eta_h == mo.se_eta
@@ -73,37 +75,37 @@ class TestEstimateRiskMoments:
     def test_cross_moment_within_absolute_envelope(self):
         for seed in range(6):
             m = random_instance(3 + seed % 3, 10 + seed)
-            mo = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 30_000, seed)
+            mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 30_000, seed))
             assert abs(mo.eta) <= mo.eta_ddag + 3 * (mo.se_eta + mo.se_eta_ddag)
 
     def test_deterministic_given_seed(self):
         m = random_instance(3, 20)
-        a = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 10_000, 4)
-        b = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 10_000, 4)
+        a = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 10_000, 4))
+        b = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 10_000, 4))
         assert a == b
 
     def test_low_rank_flagged_unreliable(self):
         model, restriction, beta, m = restricted_instance(q=2)
         mo = estimate_risk_moments(
-            m, H_INV, singular_sampler(model, restriction, beta, 1.0), 10_000, 5)
+            m, H_INV, *sample_joint_singular(model, restriction, beta, 1.0, 10_000, 5))
         assert mo.unreliable
 
 
 class TestMseDecomposition:
     def test_zero_weight_is_base_risk(self):
         m = random_instance(3, 21)
-        mo = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 50_000, 6)
+        mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 50_000, 6))
         assert mse_analytic(m, mo, 0.0) == m.trace_A
 
     def test_interval_endpoints_meet_base_risk(self):
         m = random_instance(3, 22)
-        mo = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 50_000, 7)
+        mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 50_000, 7))
         c2 = 2.0 * optimal_c(mo.eta_h, mo.omega_h)
         assert mse_analytic(m, mo, c2) == pytest.approx(m.trace_A)
 
     def test_identity_optimum(self):
         m = identity_instance()
-        mo = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 300_000, 8)
+        mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 300_000, 8))
         c_star = optimal_c(mo.eta_h, mo.omega_h)
         assert c_star == pytest.approx(1.0, abs=0.05)
         assert mse_analytic(m, mo, c_star) == pytest.approx(2.5, abs=0.02)
@@ -111,7 +113,7 @@ class TestMseDecomposition:
     def test_dominance_inside_interval(self):
         for seed in (23, 24, 25):
             m = random_instance(4, seed)
-            mo = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 50_000, seed)
+            mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 50_000, seed))
             lo, hi = dominance_interval(mo.eta_h, mo.omega_h)
             for t in (0.1, 0.5, 0.9):
                 c = lo + t * (hi - lo)
@@ -122,21 +124,21 @@ class TestMseDecomposition:
         # the decomposition identity, on fresh draws, across weights and c
         for seed, h in ((26, H_INV), (27, HFunction.smooth_inverse(2.0))):
             m = random_instance(3, seed)
-            samp = gaussian_sampler(m)
-            mo = estimate_risk_moments(m, h, samp, 120_000, seed)
+            mo = estimate_risk_moments(m, h, *sample_joint_gaussian(m, 120_000, seed))
             se_mo = 2 * mo.se_eta_h + mo.se_omega_h
+            fresh = sample_joint_gaussian(m, 120_000, seed + 100)
             for c in (-0.8, -0.2, 0.3, 1.0):
-                emp, se = mse_empirical(m, h, c, samp, 120_000, seed + 100)
+                emp, se = mse_empirical(m, h, c, *fresh)
                 tol = 3 * (se + abs(c) * 2 * mo.se_eta_h + c * c * mo.se_omega_h)
                 assert mse_analytic(m, mo, c) == pytest.approx(emp, abs=tol), (seed, c)
 
     def test_grid_minimum_at_optimum(self):
         m = identity_instance()
-        samp = gaussian_sampler(m)
-        mo = estimate_risk_moments(m, H_INV, samp, 200_000, 28)
+        mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 200_000, 28))
         c_star = optimal_c(mo.eta_h, mo.omega_h)
         grid = np.linspace(0.0, 2.0, 101)
-        values = [mse_empirical(m, H_INV, c, samp, 200_000, 29)[0] for c in grid[::10]]
+        fresh = sample_joint_gaussian(m, 200_000, 29)
+        values = [mse_empirical(m, H_INV, c, *fresh)[0] for c in grid[::10]]
         best = grid[::10][int(np.argmin(values))]
         assert abs(best - c_star) <= 0.2 + 1e-12
 
@@ -144,8 +146,8 @@ class TestMseDecomposition:
         # a far-off competitor leaves less exploitable signal per draw
         m0 = identity_instance()
         m1 = biased_instance(gamma_norm=10.0)
-        a = estimate_risk_moments(m0, H_INV, gaussian_sampler(m0), 100_000, 30)
-        b = estimate_risk_moments(m1, H_INV, gaussian_sampler(m1), 100_000, 30)
+        a = estimate_risk_moments(m0, H_INV, *sample_joint_gaussian(m0, 100_000, 30))
+        b = estimate_risk_moments(m1, H_INV, *sample_joint_gaussian(m1, 100_000, 30))
         assert b.omega_h < a.omega_h
         assert abs(b.eta_h) < a.eta_h
 
@@ -155,7 +157,7 @@ class TestPropEtaOmega:
         for inst in (identity_instance(), biased_instance(), random_instance(4, 31)):
             for h, q0 in ((H_INV, 1.0), (HFunction.smooth_inverse(2.0), 1.0),
                           (HFunction.smooth_inverse(4.0), 0.5)):
-                mo = estimate_risk_moments(inst, h, gaussian_sampler(inst), 40_000, 32)
+                mo = estimate_risk_moments(inst, h, *sample_joint_gaussian(inst, 40_000, 32))
                 r_eta, r_omega = check_prop_eta_omega(mo, q0)
                 assert r_eta.holds, str(r_eta)
                 assert r_omega.holds, str(r_omega)
@@ -166,47 +168,47 @@ class TestPropEtaOmega:
 class TestBorn1:
     def test_holds_across_windows(self):
         m = identity_instance()
-        samp = gaussian_sampler(m)
+        U1, U2 = sample_joint_gaussian(m, 200_000, 33)
         for alpha in (0.5, 1.0, 2.0):
-            r = check_born1(m, samp, alpha, 200_000, 33)
+            r = check_born1(m, U1, U2, alpha)
             assert r.holds, str(r)
             assert r.name == "cross-term-small-window"
 
     def test_tiny_window_empties_the_mean(self):
         m = identity_instance()
-        r = check_born1(m, gaussian_sampler(m), 1e-6, 100_000, 34)
+        r = check_born1(m, *sample_joint_gaussian(m, 100_000, 34), 1e-6)
         assert r.lhs == 0.0
 
     def test_rejects_bad_alpha(self):
         m = identity_instance()
         with pytest.raises(ValueError):
-            check_born1(m, gaussian_sampler(m), 0.0, 100, 35)
+            check_born1(m, *sample_joint_gaussian(m, 100, 35), 0.0)
 
 
 class TestBorn2:
     def test_identity_constant(self):
         # cap at alpha=1: sqrt(2) * (3 + 3 + 0) / 2
         m = identity_instance()
-        r = check_born2(m, gaussian_sampler(m), 1.0, 200_000, 36)
+        r = check_born2(m, *sample_joint_gaussian(m, 200_000, 36), 1.0)
         assert r.holds, str(r)
         assert r.name == "cross-term-tail"
         assert r.rhs == pytest.approx(3.0 * np.sqrt(2.0))
 
     def test_wide_window_empties_the_tail(self):
         m = identity_instance()
-        r = check_born2(m, gaussian_sampler(m), 1e3, 100_000, 37)
+        r = check_born2(m, *sample_joint_gaussian(m, 100_000, 37), 1e3)
         assert r.lhs == 0.0
 
     def test_rejects_bad_alpha(self):
         m = identity_instance()
         with pytest.raises(ValueError):
-            check_born2(m, gaussian_sampler(m), -1.0, 100, 38)
+            check_born2(m, *sample_joint_gaussian(m, 100, 38), -1.0)
 
 
 class TestCorinterm:
     def test_identity_constant(self):
         m = identity_instance()
-        mo = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 200_000, 39)
+        mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 200_000, 39))
         r = check_corinterm(m, mo)
         assert r.holds, str(r)
         assert r.name == "absolute-cross-moment-cap"
@@ -215,7 +217,7 @@ class TestCorinterm:
     def test_randomized_instances(self):
         for seed in range(20):
             m = random_instance(3 + seed % 3, 200 + seed)
-            mo = estimate_risk_moments(m, H_INV, gaussian_sampler(m), 40_000, seed)
+            mo = estimate_risk_moments(m, H_INV, *sample_joint_gaussian(m, 40_000, seed))
             r = check_corinterm(m, mo)
             assert r.holds, f"seed {seed}: {r}"
 
@@ -250,8 +252,8 @@ class TestSingularOmega:
     def test_restricted_instance_with_inverse_shape(self):
         model, restriction, beta, m = restricted_instance()
         Lambda = np.linalg.inv(m.A)
-        samp = singular_sampler(model, restriction, beta, 1.0)
-        bound, mean_report = check_singular_omega(m, H_INV, Lambda, samp, 200_000, 44)
+        draws = sample_joint_singular(model, restriction, beta, 1.0, 200_000, 44)
+        bound, mean_report = check_singular_omega(m, H_INV, Lambda, *draws)
         assert bound.holds, str(bound)
         assert bound.name == "singular-omega-cap"
         assert np.isfinite(bound.rhs)
@@ -261,31 +263,31 @@ class TestSingularOmega:
     def test_rank_two_is_not_applicable(self):
         model, restriction, beta, m = restricted_instance(q=2)
         Lambda = np.linalg.inv(m.A)
-        samp = singular_sampler(model, restriction, beta, 1.0)
-        bound, _ = check_singular_omega(m, H_INV, Lambda, samp, 20_000, 45)
+        draws = sample_joint_singular(model, restriction, beta, 1.0, 20_000, 45)
+        bound, _ = check_singular_omega(m, H_INV, Lambda, *draws)
         assert bound.holds
         assert np.isinf(bound.rhs)
         assert "not-applicable" in bound.name
 
     def test_non_idempotent_shape_raises(self):
         model, restriction, beta, m = restricted_instance()
-        samp = singular_sampler(model, restriction, beta, 1.0)
+        draws = sample_joint_singular(model, restriction, beta, 1.0, 1_000, 46)
         with pytest.raises(ValueError):
-            check_singular_omega(m, H_INV, np.eye(m.k), samp, 1_000, 46)
+            check_singular_omega(m, H_INV, np.eye(m.k), *draws)
 
     def test_unbounded_weight_rejected(self):
         model, restriction, beta, m = restricted_instance()
-        samp = singular_sampler(model, restriction, beta, 1.0)
+        draws = sample_joint_singular(model, restriction, beta, 1.0, 1_000, 47)
         with pytest.raises(ValueError):
-            check_singular_omega(m, HFunction.one(), np.linalg.inv(m.A),
-                                 samp, 1_000, 47)
+            check_singular_omega(m, HFunction.one(), np.linalg.inv(m.A), *draws)
 
 
 class TestEllipticalOmega:
     def test_reports_on_biased_instance(self):
         m = biased_instance()
         for spec in (EllipticalSpec.dirac(), EllipticalSpec.gamma_mixture(5.0)):
-            cap, lower, upper = check_elliptical_omega(m, spec, 150_000, 48)
+            draws = sample_joint_elliptical(m, spec, 150_000, 48)
+            cap, lower, upper = check_elliptical_omega(m, spec, *draws)
             assert cap.holds, str(cap)
             assert cap.name == "elliptical-inverse-norm-cap"
             # identity-shaped difference: the cap is first-abs-moment / (q - 2)
@@ -294,13 +296,17 @@ class TestEllipticalOmega:
 
     def test_strict_cap_away_from_center(self):
         m = biased_instance(gamma_norm=1.0)
-        cap, _, _ = check_elliptical_omega(m, EllipticalSpec.dirac(), 150_000, 49)
+        spec = EllipticalSpec.dirac()
+        draws = sample_joint_elliptical(m, spec, 150_000, 49)
+        cap, _, _ = check_elliptical_omega(m, spec, *draws)
         assert cap.lhs < cap.rhs - 3 * cap.tolerance
 
     def test_low_rank_raises(self):
         m = identity_instance(k=2)
+        spec = EllipticalSpec.dirac()
+        draws = sample_joint_elliptical(m, spec, 1_000, 50)
         with pytest.raises(DivergentMomentError):
-            check_elliptical_omega(m, EllipticalSpec.dirac(), 1_000, 50)
+            check_elliptical_omega(m, spec, *draws)
 
 
 class TestDefaultSuite:
@@ -311,3 +317,26 @@ class TestDefaultSuite:
         assert names >= {"eta-h-cap", "omega-h-cap", "cross-term-small-window",
                          "cross-term-tail", "absolute-cross-moment-cap",
                          "elliptical-inverse-norm-cap", "singular-omega-cap"}
+
+    def test_draws_each_instance_once(self, monkeypatch):
+        calls = {}
+
+        def counted(name):
+            sampler = getattr(risk_bounds, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return sampler(*args)
+            return wrapper
+
+        for name in ("sample_joint_gaussian", "sample_joint_elliptical",
+                     "sample_joint_singular"):
+            monkeypatch.setattr(risk_bounds, name, counted(name))
+        default_bound_suite(count=2_000, seed=52)
+        assert calls == {"sample_joint_gaussian": 2,
+                         "sample_joint_elliptical": 2,
+                         "sample_joint_singular": 1}
+
+    def test_single_draw_raises(self):
+        with pytest.raises(ValueError, match="at least 2 draws"):
+            default_bound_suite(count=1)
