@@ -27,8 +27,8 @@ from .shrinkage import (
     apply_rule,
     dominance_interval,
     optimal_c,
+    plug_in_gap,
     spsl,
-    spsl_c_hat,
 )
 from .distributions import (
     DivergentMomentError,

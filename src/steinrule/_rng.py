@@ -22,12 +22,6 @@ def _block_stride(dim):
     return -(-dim // _WORDS_PER_TICK) * _WORDS_PER_TICK
 
 
-def generator(seed, stream=0):
-    """A plain Generator on the (seed, stream) Philox key, counter at 0."""
-    key = np.array([seed, stream], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def uniforms(seed, count, dim, stream=0, start=0):
     """`count` rows of `dim` uniforms, draws numbered start..start+count-1.
 

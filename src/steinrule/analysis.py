@@ -11,9 +11,9 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import _rng
-from .core_model import LinearModel, _design_rank, fit_diag_competitor, fit_ols
-from .shrinkage import apply_rule, spsl, spsl_c_hat
-from .simulation import relative_mse
+from .core_model import LinearModel, _design_rank
+from .shrinkage import apply_rule, plug_in_gap, spsl
+from .simulation import score
 
 
 class DataError(ValueError):
@@ -199,23 +199,29 @@ def _as_def(spec):
     return spsl() if spec is None else spec
 
 
-def _model_from(X, y):
-    probe = LinearModel(X, y, 1.0)
-    resid = y - X @ fit_ols(probe)
-    s2 = float(resid @ resid) / (probe.n - probe.k)
-    return LinearModel(X, y, float(np.sqrt(s2)))
+def _fit_pair(X, y):
+    """The base fit (through the SVD), the diagonal competitor D^-1 X'y
+    and the plug-in risk gap on one design."""
+    n, k = X.shape
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    beta_hat = vt.T @ ((u.T @ y) / s)
+    d = np.einsum("ij,ij->j", X, X)
+    beta_tilde = (X.T @ y) / d
+    trace_gap = np.sum(1.0 / s**2) - np.sum(1.0 / d)
+    return beta_hat, beta_tilde, plug_in_gap(y - X @ beta_hat, n - k, trace_gap)
 
 
-def _single_estimate(model, est):
-    beta_hat = fit_ols(model)
-    beta_tilde = fit_diag_competitor(model)
-    if est.c is None:
-        d = np.diag(model.X.T @ model.X)
-        sigma_hat = model.sigma**2 * np.diag(1.0 / d)
-        c = -spsl_c_hat(model, sigma_hat)
-    else:
-        c = est.c
-    return apply_rule(beta_hat[None], beta_tilde[None], est.h, c)[0]
+def _full_sample(data, defs):
+    """The design, the response, and the full-sample base fit ('ls')
+    followed by each estimator's fit."""
+    X, y = data.design()
+    LinearModel(X, y, 1.0)  # checks shape, finiteness and rank
+    beta_hat, beta_tilde, a_hat = _fit_pair(X, y)
+    fits = {"ls": beta_hat}
+    for est in defs:
+        fits[est.name] = apply_rule(beta_hat, beta_tilde, est.h,
+                                    est.multiplier(a_hat))[0]
+    return X, y, fits
 
 
 def point_estimates(data, spec=None):
@@ -224,10 +230,7 @@ def point_estimates(data, spec=None):
     The default spec is the data-driven member, with the plug-in
     competitor covariance S^2 D^-1 from the diagonal competitor.
     """
-    est = _as_def(spec)
-    X, y = data.design()
-    model = _model_from(X, y)
-    return {"ls": fit_ols(model), est.name: _single_estimate(model, est)}
+    return _full_sample(data, [_as_def(spec)])[2]
 
 
 def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
@@ -244,21 +247,14 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     defs = [_as_def(s) for s in (specs if specs is not None else [None])]
     if any(est.name == "ls" for est in defs):
         raise DataError("'ls' names the base estimator")
-    X, y = data.design()
-    model = _model_from(X, y)
-    reference = fit_ols(model)
-    n, k = model.n, model.k
-
-    full = {"ls": reference}
-    for est in defs:
-        full[est.name] = _single_estimate(model, est)
+    X, y, full = _full_sample(data, defs)
+    n, k = X.shape
 
     def draw(stream, index):
         u = _rng.uniforms(seed, 1, n, stream=stream, start=index)[0]
         return np.minimum((u * n).astype(int), n - 1)
 
-    losses = {est.name: np.empty(B) for est in defs}
-    losses["ls"] = np.empty(B)
+    beta_hat, beta_tilde, a_hat = np.empty((B, k)), np.empty((B, k)), np.empty(B)
     redraws = 0
     for b in range(B):
         idx = draw(0, b)
@@ -268,23 +264,10 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
                     f"bootstrap gave up after {redraws} rank-deficient redraws")
             idx = draw(2, redraws)
             redraws += 1
-        Xb, yb = X[idx], y[idx]
-        u_, s_, vt_ = np.linalg.svd(Xb, full_matrices=False)
-        beta_hat = vt_.T @ ((u_.T @ yb) / s_)
-        d = np.einsum("ij,ij->j", Xb, Xb)
-        beta_tilde = (Xb.T @ yb) / d
-        resid = yb - Xb @ beta_hat
-        s2 = float(resid @ resid) / (n - k)
-        a_hat = s2 * (float(np.sum(1.0 / s_**2)) - float(np.sum(1.0 / d)))
-        dev = beta_hat - reference
-        losses["ls"][b] = float(dev @ dev)
-        for est in defs:
-            c = -a_hat if est.c is None else est.c
-            vec = apply_rule(beta_hat[None], beta_tilde[None], est.h, c)[0]
-            dev = vec - reference
-            losses[est.name][b] = float(dev @ dev)
+        beta_hat[b], beta_tilde[b], a_hat[b] = _fit_pair(X[idx], y[idx])
 
     efficiency, spread = {}, {}
-    for nm, arr in losses.items():
-        efficiency[nm], spread[nm] = relative_mse(arr, losses["ls"])
+    for name, rmse, se in score(defs, beta_hat, beta_tilde, a_hat, full["ls"]):
+        efficiency[name], spread[name] = rmse, se
+    efficiency["ls"], spread["ls"] = 1.0, 0.0
     return EfficiencyReport(full, efficiency, spread, B, seed, redraws)

@@ -7,8 +7,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core_model import fit_ols
-
 INVERSE_SQ_NORM = "inverse-sq-norm"
 SMOOTH_INVERSE = "smooth-inverse"
 ZERO = "zero"
@@ -120,6 +118,11 @@ class EstimatorDef:
         if self.c is not None and not np.isfinite(self.c):
             raise ValueError(f"c must be finite or None, got {self.c}")
 
+    def multiplier(self, a_hat):
+        """The c applied to samples with plug-in risk gaps a_hat: -a_hat
+        when c is None, else the fixed c."""
+        return -a_hat if self.c is None else self.c
+
 
 def spsl(name="spsl"):
     """The data-driven member: inverse-square-norm weight, c fitted per sample."""
@@ -149,17 +152,17 @@ def apply_rule(beta_hat, beta_tilde, h, c):
     return beta_hat + (c * hv)[:, None] * diff
 
 
-def spsl_c_hat(model, sigma_hat_matrix):
-    """Plug-in risk gap a_hat = S^2 trace((X'X)^-1) - trace(Sigma_hat).
+def plug_in_gap(resid, df, trace_gap):
+    """Plug-in risk gap a_hat = S^2 * trace_gap, one per row of residuals.
 
-    S^2 is the residual variance estimate from the base fit. The
-    data-driven member of the class uses c = -a_hat with the
-    inverse-square-norm weight.
+    S^2 = resid'resid / df is the residual variance of the base fit, and
+    trace_gap is the trace of the base covariance minus the competitor's,
+    over sigma^2 (Judge & Mittelhammer 2004). With G = (X'X)^-1 it is
+    trace(G) - sum(1 / d), d = diag(X'X), for the diagonal competitor and
+    trace(J Rmat G) for the restricted one. The data-driven member of the
+    class uses c = -a_hat with the inverse-square-norm weight.
     """
-    resid = model.y - model.X @ fit_ols(model)
-    s2 = float(resid @ resid) / (model.n - model.k)
-    gram_inv_trace = float(np.trace(np.linalg.inv(model.X.T @ model.X)))
-    return s2 * gram_inv_trace - float(np.trace(np.asarray(sigma_hat_matrix)))
+    return np.einsum("...i,...i->...", resid, resid) / df * trace_gap
 
 
 def optimal_c(eta_h, omega_h):

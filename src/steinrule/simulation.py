@@ -26,6 +26,7 @@ from .shrinkage import (
     EstimatorDef,
     HFunction,
     apply_rule,
+    plug_in_gap,
     spsl,
 )
 
@@ -64,6 +65,8 @@ class SimConfig:
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
         if not self.n > self.k >= 2:
             raise ConfigError(f"need n > k >= 2, got n={self.n}, k={self.k}")
+        _real("sigma", self.sigma)
+        _real("rho", self.rho)
         if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.replications < 100:
@@ -74,14 +77,14 @@ class SimConfig:
             raise ConfigError(
                 f"rho={self.rho} outside ({low:.4g}, 1), the positive-definite "
                 f"range for k={self.k}")
-        self.beta_norms = tuple(float(b) for b in self.beta_norms)
+        self.beta_norms = _reals("beta_norms", self.beta_norms)
         if not self.beta_norms or any(b <= 0 for b in self.beta_norms):
             raise ConfigError("beta_norms must be a nonempty list of positive reals")
         if isinstance(self.competitor, str) and self.competitor != DIAG:
             raise ConfigError(f"unknown competitor {self.competitor!r}")
-        self.estimators = tuple(self.estimators or (spsl(),))
+        self.estimators = tuple(_sequence("estimators", self.estimators) or (spsl(),))
         if self.gamma_norms is not None:
-            self.gamma_norms = tuple(float(g) for g in self.gamma_norms)
+            self.gamma_norms = _reals("gamma_norms", self.gamma_norms)
             if any(g < 0 for g in self.gamma_norms):
                 raise ConfigError("gamma_norms must be nonnegative")
 
@@ -99,16 +102,16 @@ class SimConfig:
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         kwargs = {key: data[key] for key in
-                  ("n", "k", "sigma", "rho", "beta_norms", "replications", "seed")}
+                  ("n", "k", "sigma", "rho", "beta_norms", "replications", "seed",
+                   "gamma_norms") if key in data}
         if "distribution" in data:
             kwargs["distribution"] = _dist_from_json(data["distribution"])
         if "competitor" in data:
             kwargs["competitor"] = _competitor_from_json(data["competitor"])
         if "estimators" in data:
             kwargs["estimators"] = tuple(
-                _estimator_from_json(e) for e in data["estimators"])
-        if "gamma_norms" in data and data["gamma_norms"] is not None:
-            kwargs["gamma_norms"] = tuple(data["gamma_norms"])
+                _estimator_from_json(e)
+                for e in _sequence("estimators", data["estimators"]))
         return cls(**kwargs)
 
     def to_json_dict(self):
@@ -126,6 +129,22 @@ class SimConfig:
         if self.gamma_norms is not None:
             doc["gamma_norms"] = list(self.gamma_norms)
         return doc
+
+
+def _real(key, value):
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{key} must be a real number, got {value!r}")
+    return float(value)
+
+
+def _sequence(key, value):
+    if isinstance(value, (str, dict)) or not np.iterable(value):
+        raise ConfigError(f"{key} must be a list, got {value!r}")
+    return value
+
+
+def _reals(key, values):
+    return tuple(_real(f"{key} entry", v) for v in _sequence(key, values))
 
 
 def _object(obj, what):
@@ -244,8 +263,8 @@ class SweepResult:
         """Rows for one estimator, in cell order."""
         return [row for row in self.rows if row.estimator == estimator]
 
-    def to_csv(self, path, metadata_path=None):
-        """Write the rows; run metadata goes to a JSON sidecar."""
+    def to_csv(self, path):
+        """Write the rows; run metadata goes to the JSON sidecar path.meta.json."""
         lines = [self.HEADER]
         for row in self.rows:
             lines.append(",".join([
@@ -257,8 +276,7 @@ class SweepResult:
             ]))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
-        sidecar = metadata_path if metadata_path else f"{path}.meta.json"
-        with open(sidecar, "w") as fh:
+        with open(f"{path}.meta.json", "w") as fh:
             json.dump(self.metadata, fh, indent=2, sort_keys=True)
             fh.write("\n")
 
@@ -316,25 +334,23 @@ def run_sweep(config):
     return SweepResult(rows, _metadata(config, sweep="beta_norms"))
 
 
-def gamma_sweep(config, gamma_norms=None):
-    """Score estimators across competitor-bias norms for a restricted
-    competitor, holding the coefficient norm fixed.
+def gamma_sweep(config):
+    """Score estimators across the competitor-bias norms config.gamma_norms
+    for a restricted competitor, holding the coefficient norm fixed.
 
     The constraint offset is steered along the equal-weights direction and
     scaled so the realized squared bias norm equals each grid value.
     """
     if not isinstance(config.competitor, LinearRestriction):
         raise ConfigError("gamma sweep needs a restricted competitor")
-    if gamma_norms is None:
-        gamma_norms = config.gamma_norms
-    if not gamma_norms:
+    if not config.gamma_norms:
         raise ConfigError("no gamma_norms given")
     if len(config.beta_norms) != 1:
         raise ConfigError("gamma sweep uses a single beta norm")
     base = config.competitor
     beta = make_beta(config.k, config.beta_norms[0])
     rows = []
-    for cell_id, gamma_sq_target in enumerate(gamma_norms):
+    for cell_id, gamma_sq_target in enumerate(config.gamma_norms):
         X = generate_design(config.n, config.k, config.rho,
                             _rng.spawn_seed(config.seed, cell_id, 0))
         J = restriction_projection(X.T @ X, base)
@@ -349,7 +365,7 @@ def gamma_sweep(config, gamma_norms=None):
                                  name, rmse, se, config.replications,
                                  config.seed))
     return SweepResult(rows, _metadata(config, sweep="gamma_norms",
-                                       gamma_norms=list(gamma_norms)))
+                                       gamma_norms=list(config.gamma_norms)))
 
 
 def _run_cell(config, cell_id, X, beta, competitor):
@@ -363,7 +379,6 @@ def _run_cell(config, cell_id, X, beta, competitor):
     except (np.linalg.LinAlgError, RestrictionError) as exc:
         raise ConfigError(f"cell {cell_id} failed: {exc}") from exc
     XG = X @ G
-    trace_G = float(np.trace(G))
 
     noise_seed = _rng.spawn_seed(config.seed, cell_id, 1)
     mix_seed = _rng.spawn_seed(config.seed, cell_id, 2)
@@ -377,41 +392,41 @@ def _run_cell(config, cell_id, X, beta, competitor):
         d = np.diag(XtX)
         beta_tilde = (XtX @ beta) / d + eps @ (X / d)
         gamma = (XtX @ beta) / d - beta
-        # trace of S^2 D^-1 relative to S^2
-        sigma_trace = float(np.sum(1.0 / d))
-        gap_factor = trace_G - sigma_trace
+        # trace gap over S^2: trace G - trace D^-1
+        gap_factor = float(np.trace(G)) - float(np.sum(1.0 / d))
     else:
         beta_tilde = beta_hat - (beta_hat @ competitor.Rmat.T
                                  - competitor.r) @ J.T
         gamma = -J @ (competitor.Rmat @ beta - competitor.r)
-        # trace of S^2 (G - J Rmat G) relative to S^2
+        # trace gap over S^2: trace G - trace(G - J Rmat G)
         gap_factor = float(np.trace(J @ (competitor.Rmat @ G)))
 
-    resid = eps - U1 @ X.T
-    s2 = np.einsum("ij,ij->i", resid, resid) / (n - k)
-    a_hat = s2 * gap_factor
+    a_hat = plug_in_gap(eps - U1 @ X.T, n - k, gap_factor)
+    return (score(config.estimators, beta_hat, beta_tilde, a_hat, beta),
+            float(gamma @ gamma))
 
+
+def score(estimators, beta_hat, beta_tilde, a_hat, truth):
+    """Relative MSE of each estimator against the base over rows of fits:
+    beta_hat and beta_tilde are (rows, k), a_hat holds the rows' plug-in
+    risk gaps, and truth is what the squared losses are measured from.
+    Returns (name, rmse, se) triples in estimator order."""
     # same float path as the estimator losses below, so a zero-weight
     # control reproduces the base loss bitwise
-    base_dev = beta_hat - beta
+    base_dev = beta_hat - truth
     base_loss = np.einsum("ij,ij->i", base_dev, base_dev)
-    out = []
-    for est in config.estimators:
-        c = -a_hat if est.c is None else est.c
-        fitted = apply_rule(beta_hat, beta_tilde, est.h, c)
-        dev = fitted - beta
-        loss = np.einsum("ij,ij->i", dev, dev)
-        out.append((est.name, *relative_mse(loss, base_loss)))
-    return out, float(gamma @ gamma)
-
-
-def relative_mse(loss, base_loss):
-    """Mean loss over the base mean loss, with a delta-method SE."""
     base_mean = base_loss.mean()
-    ratio = loss.mean() / base_mean
-    centered = loss - ratio * base_loss
-    se = centered.std(ddof=1) / np.sqrt(loss.shape[0]) / base_mean
-    return float(ratio), float(se)
+    out = []
+    for est in estimators:
+        fitted = apply_rule(beta_hat, beta_tilde, est.h, est.multiplier(a_hat))
+        dev = fitted - truth
+        loss = np.einsum("ij,ij->i", dev, dev)
+        # mean loss over the base mean loss, with a delta-method SE
+        ratio = loss.mean() / base_mean
+        centered = loss - ratio * base_loss
+        se = centered.std(ddof=1) / np.sqrt(loss.shape[0]) / base_mean
+        out.append((est.name, float(ratio), float(se)))
+    return out
 
 
 def _metadata(config, **extra):

@@ -15,7 +15,9 @@ from steinrule import (
     correlation_table,
     load_csv,
     point_estimates,
+    spsl,
 )
+from steinrule import _rng
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cigarette.csv")
 
@@ -228,3 +230,47 @@ class TestBootstrapEfficiency:
     def test_str_report(self, smoke_model):
         text = str(bootstrap_efficiency(smoke_model, B=200, seed=0))
         assert "spsl" in text and "ls" in text
+
+    def test_matches_per_replicate_loop(self, smoke_model):
+        # one replicate at a time: resample, fit both estimators, combine
+        # each spec on its own, and score against the full-sample fit
+        specs = [spsl(), EstimatorDef("s4", HFunction.smooth_inverse(4)),
+                 EstimatorDef("fixed", HFunction.inverse_sq_norm(), -0.05)]
+        B, seed = 1_000, 3
+        rep = bootstrap_efficiency(smoke_model, specs=specs, B=B, seed=seed)
+        assert rep.redraws == 0
+        X, y = smoke_model.design()
+        n, k = X.shape
+        reference = np.linalg.lstsq(X, y, rcond=None)[0]
+        losses = {est.name: np.empty(B) for est in specs}
+        base = np.empty(B)
+        for b in range(B):
+            u = _rng.uniforms(seed, 1, n, stream=0, start=b)[0]
+            idx = np.minimum((u * n).astype(int), n - 1)
+            Xb, yb = X[idx], y[idx]
+            bh = np.linalg.lstsq(Xb, yb, rcond=None)[0]
+            d = np.sum(Xb * Xb, axis=0)
+            bt = (Xb.T @ yb) / d
+            resid = yb - Xb @ bh
+            a_hat = (resid @ resid / (n - k)
+                     * (np.trace(np.linalg.inv(Xb.T @ Xb)) - np.sum(1.0 / d)))
+            base[b] = np.sum((bh - reference) ** 2)
+            for est in specs:
+                c = -a_hat if est.c is None else est.c
+                fit = bh + c * est.h(bh, bt) * (bh - bt)
+                losses[est.name][b] = np.sum((fit - reference) ** 2)
+        for est in specs:
+            loss = losses[est.name]
+            ratio = loss.mean() / base.mean()
+            se = (loss - ratio * base).std(ddof=1) / np.sqrt(B) / base.mean()
+            assert rep.relative_efficiency[est.name] == pytest.approx(
+                ratio, rel=1e-12)
+            assert rep.efficiency_se[est.name] == pytest.approx(se, rel=1e-12)
+
+    def test_zero_weight_control_is_exact(self, smoke_model):
+        rep = bootstrap_efficiency(
+            smoke_model, specs=[spsl(), EstimatorDef("flat", HFunction.zero(), 0.0)],
+            B=500, seed=0)
+        assert rep.relative_efficiency["flat"] == 1.0
+        assert rep.efficiency_se["flat"] == 0.0
+        assert list(rep.relative_efficiency) == ["spsl", "flat", "ls"]

@@ -73,6 +73,11 @@ class TestSimulate:
         ({"estimators": ["spsl"]}, "estimator"),
         ({"distribution": [1]}, "distribution"),
         ({"replications": 200.5}, "replications"),
+        ({"beta_norms": 3}, "beta_norms"),
+        ({"gamma_norms": 3}, "gamma_norms"),
+        ({"estimators": 5}, "estimators"),
+        ({"sigma": "a"}, "sigma"),
+        ({"rho": "x"}, "rho"),
     ])
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys,
                                                 override, key):

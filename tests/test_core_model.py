@@ -195,12 +195,13 @@ class TestFitRestricted:
         restriction = LinearRestriction(np.eye(1, 3), np.zeros(1))
         restriction.Rmat = np.zeros((1, 3))
         config = SimConfig(n=20, k=3, sigma=1.0, rho=0.3, beta_norms=(1.0,),
-                           replications=100, seed=0, competitor=restriction)
+                           replications=100, seed=0, competitor=restriction,
+                           gamma_norms=(1.0,))
         calls = (
             lambda: fit_restricted(model, restriction),
             lambda: joint_moments_restricted(model, restriction, beta),
             lambda: sample_joint_singular(model, restriction, beta, 1.0, 10, 0),
-            lambda: gamma_sweep(config, gamma_norms=(1.0,)),
+            lambda: gamma_sweep(config),
         )
         for call in calls:
             with pytest.raises(RestrictionError, match="singular"):

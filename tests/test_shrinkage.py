@@ -9,13 +9,15 @@ from steinrule import (
     HFunction,
     InvalidRiskMomentError,
     LinearModel,
+    LinearRestriction,
     apply_rule,
     dominance_interval,
     fit_ols,
     optimal_c,
+    plug_in_gap,
     spsl,
-    spsl_c_hat,
 )
+from steinrule.core_model import restriction_projection
 
 
 class TestHFunction:
@@ -142,18 +144,14 @@ class TestEstimatorDef:
         with pytest.raises(ValueError):
             EstimatorDef("bad", HFunction.one(), np.inf)
 
+    def test_multiplier(self):
+        a_hat = np.array([0.3, -1.5])
+        np.testing.assert_array_equal(spsl().multiplier(a_hat), -a_hat)
+        fixed = EstimatorDef("fixed", HFunction.inverse_sq_norm(), -0.5)
+        assert fixed.multiplier(a_hat) == -0.5
 
-class TestSpslCHat:
-    def test_zero_gap_when_sigma_hat_matches_base(self):
-        rng = np.random.default_rng(4)
-        X = np.column_stack([np.ones(20), rng.normal(size=(20, 2))])
-        y = rng.normal(size=20)
-        model = LinearModel(X, y, 1.0)
-        resid = y - X @ fit_ols(model)
-        s2 = resid @ resid / (20 - 3)
-        G = np.linalg.inv(X.T @ X)
-        assert spsl_c_hat(model, s2 * G) == pytest.approx(0.0, abs=1e-12)
 
+class TestPlugInGap:
     def test_orthonormal_design_counts_coordinates(self):
         q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(20, 3)))
         beta = np.zeros(3)
@@ -162,20 +160,39 @@ class TestSpslCHat:
         model = LinearModel(q, y, 1.0)
         resid = y - q @ fit_ols(model)
         s2 = resid @ resid / (20 - 3)
-        # X'X = I so the trace gap is s2 * k minus the competitor trace
-        assert spsl_c_hat(model, np.zeros((3, 3))) == pytest.approx(3 * s2)
+        # X'X = I so the trace gap is k minus the competitor trace, here 0
+        trace_gap = np.trace(np.linalg.inv(q.T @ q))
+        assert plug_in_gap(resid, 20 - 3, trace_gap) == pytest.approx(3 * s2)
 
     def test_trace_formula(self):
+        # a_hat = S^2 trace((X'X)^-1) - trace(competitor covariance), with
+        # covariance S^2 D^-1 for the diagonal competitor and
+        # S^2 (G - J Rmat G) for the restricted one
         rng = np.random.default_rng(7)
         X = np.column_stack([np.ones(25), 1 + rng.normal(size=(25, 3))])
         y = rng.normal(size=25)
         model = LinearModel(X, y, 1.0)
-        sig = rng.normal(size=(4, 4))
-        sig = sig @ sig.T
         resid = y - X @ fit_ols(model)
         s2 = resid @ resid / (25 - 4)
-        expect = s2 * np.trace(np.linalg.inv(X.T @ X)) - np.trace(sig)
-        assert spsl_c_hat(model, sig) == pytest.approx(expect, rel=1e-10)
+        G = np.linalg.inv(X.T @ X)
+        d = np.diag(X.T @ X)
+        expect = s2 * np.trace(G) - np.trace(s2 * np.diag(1.0 / d))
+        got = plug_in_gap(resid, 25 - 4, np.trace(G) - np.sum(1.0 / d))
+        assert got == pytest.approx(expect, rel=1e-10)
+        Rmat = np.eye(2, 4)
+        J = restriction_projection(X.T @ X, LinearRestriction(Rmat, np.zeros(2)))
+        expect = s2 * np.trace(G) - np.trace(s2 * (G - J @ Rmat @ G))
+        got = plug_in_gap(resid, 25 - 4, np.trace(J @ Rmat @ G))
+        assert got == pytest.approx(expect, rel=1e-10)
+
+    def test_rows_equal_single_calls(self):
+        # the sweep passes (reps, n) residual rows, the bootstrap one
+        # residual vector per replicate; both must give the same gaps
+        resid = np.random.default_rng(8).normal(size=(6, 20))
+        rows = plug_in_gap(resid, 17, 2.5)
+        assert rows.shape == (6,)
+        np.testing.assert_array_equal(
+            rows, [plug_in_gap(r, 17, 2.5) for r in resid])
 
 
 class TestOptimalShrink:

@@ -220,18 +220,19 @@ class TestGammaSweep:
 
     def test_requires_restricted_competitor(self):
         with pytest.raises(ConfigError):
-            gamma_sweep(base_config(), gamma_norms=(0.0, 1.0))
+            gamma_sweep(base_config(gamma_norms=(0.0, 1.0)))
 
     def test_realized_bias_matches_targets(self):
-        cfg = self._restricted_config()
-        res = gamma_sweep(cfg, gamma_norms=(0.0, 1.0, 5.0))
+        cfg = self._restricted_config(gamma_norms=(0.0, 1.0, 5.0))
+        res = gamma_sweep(cfg)
         realized = [row.gamma_norm for row in res.rows]
         np.testing.assert_allclose(realized, [0.0, 1.0, 5.0], atol=1e-9)
 
     def test_zero_weight_stays_at_one(self):
         cfg = self._restricted_config(
-            estimators=(EstimatorDef("base", HFunction.zero(), 0.0),))
-        for row in gamma_sweep(cfg, gamma_norms=(0.0, 2.0)).rows:
+            estimators=(EstimatorDef("base", HFunction.zero(), 0.0),),
+            gamma_norms=(0.0, 2.0))
+        for row in gamma_sweep(cfg).rows:
             assert row.rmse == 1.0 and row.rmse_se == 0.0
 
     def test_fixed_weight_dominates_at_zero_bias(self):
@@ -239,11 +240,11 @@ class TestGammaSweep:
         cfg = self._restricted_config(
             estimators=(EstimatorDef(
                 "fixed", HFunction.inverse_sq_norm(), -0.07),),
-            replications=20_000)
-        row = gamma_sweep(cfg, gamma_norms=(0.0,)).rows[0]
+            replications=20_000, gamma_norms=(0.0,))
+        row = gamma_sweep(cfg).rows[0]
         assert row.rmse < 1.0 - 2 * row.rmse_se
 
     def test_large_bias_washes_out_shrinkage(self):
-        cfg = self._restricted_config(replications=4_000)
-        row = gamma_sweep(cfg, gamma_norms=(200.0,)).rows[0]
+        cfg = self._restricted_config(replications=4_000, gamma_norms=(200.0,))
+        row = gamma_sweep(cfg).rows[0]
         assert row.rmse == pytest.approx(1.0, abs=max(0.01, 4 * row.rmse_se))
