@@ -6,6 +6,8 @@ relative-efficiency analysis of real data."""
 __version__ = "0.1.0"
 
 from .core_model import (
+    DIAG,
+    Competitor,
     DegenerateColumnError,
     JointMoments,
     LinearModel,

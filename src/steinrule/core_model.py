@@ -7,6 +7,7 @@ import numpy as np
 RANK_TOL = 1e-10
 # eigenvalues above -PSD_TOL * trace count as nonnegative and are clipped
 PSD_TOL = 1e-8
+DIAG = "diag"
 
 
 class RankDeficientError(ValueError):
@@ -80,6 +81,9 @@ class LinearRestriction:
             raise RestrictionError("restriction needs at least one nonempty row")
         if self.r.shape != (q,):
             raise RestrictionError(f"r has shape {self.r.shape}, expected ({q},)")
+        for name, a in (("Rmat", self.Rmat), ("r", self.r)):
+            if not np.isfinite(a).all():
+                raise RestrictionError(f"restriction {name} must be finite")
         rank = np.linalg.matrix_rank(self.Rmat)
         if rank < q:
             raise RestrictionError(
@@ -193,15 +197,9 @@ def fit_ols(model):
 
 
 def fit_diag_competitor(model):
-    """Competing estimator that pretends the design columns are orthogonal.
-
-    Returns D^-1 X'y with D = diag(X'X).
-    """
-    d = np.einsum("ij,ij->j", model.X, model.X)
-    bad = np.flatnonzero(d <= 0)
-    if bad.size:
-        raise DegenerateColumnError(f"design column {bad[0]} has zero norm")
-    return (model.X.T @ model.y) / d
+    """Competing estimator that pretends the design columns are orthogonal:
+    D^-1 X'y with D = diag(X'X)."""
+    return Competitor(model.X.T @ model.X).fit(fit_ols(model))
 
 
 def restriction_projection(XtX, restriction):
@@ -227,56 +225,68 @@ def restriction_projection(XtX, restriction):
 
 
 def fit_restricted(model, restriction):
-    """Least squares under the constraint Rmat @ beta = r.
+    """Least squares under the constraint Rmat @ beta = r; the output
+    satisfies the constraint exactly."""
+    return Competitor(model.X.T @ model.X, restriction).fit(fit_ols(model))
 
-    Returns beta_hat - J (Rmat beta_hat - r), J from restriction_projection,
-    so the output satisfies the constraint exactly.
+
+class Competitor:
+    """A competing fit as a correction of the base fit,
+    beta_tilde = beta_hat - J (Rmat beta_hat - r): J from
+    restriction_projection for a LinearRestriction, and J = I,
+    Rmat = I - D^-1 X'X, r = 0 for the diagonal fit D^-1 X'y, D = diag(X'X).
+
+    With G = (X'X)^-1 and M = I - J Rmat the errors satisfy
+    U2 = M U1 + gamma, gamma = -J (Rmat beta - r), so A = sigma^2 G,
+    Sigma = A M', Phi = M A M', and the gap between the two error
+    covariances' traces over sigma^2 is trace_gap = trace G - trace(M G M').
     """
-    J = restriction_projection(model.X.T @ model.X, restriction)
-    beta_hat = fit_ols(model)
-    return beta_hat - J @ (restriction.Rmat @ beta_hat - restriction.r)
+
+    def __init__(self, XtX, competitor=DIAG):
+        k = XtX.shape[0]
+        if competitor == DIAG:
+            d = np.diag(XtX)
+            bad = np.flatnonzero(d <= 0)
+            if bad.size:
+                raise DegenerateColumnError(f"design column {bad[0]} has zero norm")
+            self.J = np.eye(k)
+            self.Rmat = np.eye(k) - XtX / d[:, None]
+            self.r = np.zeros(k)
+        else:
+            self.J = restriction_projection(XtX, competitor)
+            self.Rmat, self.r = competitor.Rmat, competitor.r
+        self.G = np.linalg.inv(XtX)
+        self.M = np.eye(k) - self.J @ self.Rmat
+        self.MGM = self.M @ self.G @ self.M.T
+        self.trace_gap = float(np.trace(self.G)) - float(np.trace(self.MGM))
+
+    def fit(self, beta_hat):
+        """The competitor from base fits: rows (m, k) or one vector."""
+        return beta_hat - (beta_hat @ self.Rmat.T - self.r) @ self.J.T
+
+    def bias(self, beta):
+        """gamma = E[competitor] - beta at the true coefficients beta."""
+        return -self.J @ (self.Rmat @ beta - self.r)
+
+    def moments(self, sigma, beta):
+        """The joint moment structure at noise level sigma and truth beta."""
+        sig2 = float(sigma) ** 2
+        A = sig2 * 0.5 * (self.G + self.G.T)
+        return JointMoments.from_covariances(self.bias(beta), A, A @ self.M.T,
+                                             sig2 * self.MGM)
 
 
 def joint_moments_diag(model, beta_true):
-    """Joint moment structure when the competitor is the diagonal fit.
-
-    The competitor is linear in y, so the blocks are exact:
-    A = sigma^2 (X'X)^-1, Sigma = sigma^2 D^-1,
-    Phi = sigma^2 D^-1 (X'X) D^-1, gamma = (D^-1 X'X - I) beta_true.
-    """
-    beta_true = np.asarray(beta_true, dtype=float)
-    sig2 = model.sigma**2
-    XtX = model.X.T @ model.X
-    d = np.diag(XtX)
-    bad = np.flatnonzero(d <= 0)
-    if bad.size:
-        raise DegenerateColumnError(f"design column {bad[0]} has zero norm")
-    G = np.linalg.inv(XtX)
-    A = sig2 * 0.5 * (G + G.T)
-    Sigma = sig2 * np.diag(1.0 / d)
-    Phi = sig2 * (XtX / d[:, None] / d[None, :])
-    gamma = (XtX @ beta_true) / d - beta_true
-    return JointMoments.from_covariances(gamma, A, Sigma, Phi)
+    """Joint moment structure when the competitor is the diagonal fit."""
+    return Competitor(model.X.T @ model.X).moments(model.sigma, beta_true)
 
 
 def joint_moments_restricted(model, restriction, beta_true):
-    """Joint moment structure when the competitor is the restricted fit.
-
-    With J from restriction_projection, Sigma = Phi = A - J Rmat A (the
-    product J Rmat A is symmetric in exact arithmetic), so the difference
-    covariance is J Rmat A with rank q and the factor is singular for
-    q < k. The bias is gamma = -J (Rmat beta_true - r).
-    """
-    XtX = model.X.T @ model.X
-    J = restriction_projection(XtX, restriction)
-    beta_true = np.asarray(beta_true, dtype=float)
-    sig2 = model.sigma**2
-    G = np.linalg.inv(XtX)
-    A = sig2 * 0.5 * (G + G.T)
-    JRA = J @ (restriction.Rmat @ A)
-    JRA = 0.5 * (JRA + JRA.T)
-    gamma = -J @ (restriction.Rmat @ beta_true - restriction.r)
-    return JointMoments.from_covariances(gamma, A, A - JRA, A - JRA)
+    """Joint moment structure when the competitor is the restricted fit:
+    Sigma = Phi = A - J Rmat A, so the difference covariance J Rmat A has
+    rank q and the factor is singular for q < k."""
+    return Competitor(model.X.T @ model.X, restriction).moments(
+        model.sigma, beta_true)
 
 
 def _check_symmetric_psd(name, M):

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.special import gammaincinv, hyp1f1, hyp2f1
 
 from . import _rng
-from .core_model import PSD_TOL, MomentConsistencyError, restriction_projection
+from .core_model import PSD_TOL, Competitor, MomentConsistencyError
 
 DIRAC_AT_ONE = "dirac-at-one"
 GAMMA_MIXTURE = "gamma-mixture"
@@ -43,15 +43,15 @@ class EllipticalSpec:
     @classmethod
     def gamma_mixture(cls, nu):
         """Gamma(nu/2, rate nu/2) mixing; the draws are multivariate t(nu)."""
-        if nu <= 2:
-            raise ValueError(f"gamma mixing needs nu > 2 for finite covariance, got {nu}")
+        if not 2 < nu < np.inf:
+            raise ValueError(f"gamma mixing needs a finite nu > 2, got {nu}")
         return cls(GAMMA_MIXTURE, nu=float(nu))
 
     @classmethod
     def two_point(cls, z1, z2, w):
         """Mass w at z1 and 1 - w at z2."""
-        if not (z1 > 0 and z2 > 0):
-            raise ValueError("mixing atoms must be positive")
+        if not (0 < z1 < np.inf and 0 < z2 < np.inf):
+            raise ValueError(f"mixing atoms must be positive and finite, got {z1}, {z2}")
         if not 0 < w < 1:
             raise ValueError(f"weight must lie in (0, 1), got {w}")
         return cls(TWO_POINT_MIXTURE, z1=float(z1), z2=float(z2), w=float(w))
@@ -126,19 +126,11 @@ def sample_joint_singular(model, restriction, beta_true, sigma, count, seed, sta
     """Simulate (U1, U2) for the restricted competitor directly from
     regression noise, so the difference lives in the q-dimensional range
     of the constraint map by construction."""
-    beta_true = np.asarray(beta_true, dtype=float)
-    X = model.X
-    XtX = X.T @ X
-    XG = X @ np.linalg.inv(XtX)
-    J = restriction_projection(XtX, restriction)
-
+    comp = Competitor(model.X.T @ model.X, restriction)
     eps = sigma * _rng.normals(seed, count, model.n, stream=_rng.STREAM_NOISE,
                                start=start)
-    U1 = eps @ XG
-    beta_hat = beta_true + U1
-    constraint_gap = beta_hat @ restriction.Rmat.T - restriction.r
-    U2 = beta_hat - constraint_gap @ J.T - beta_true
-    return U1, U2
+    U1 = eps @ (model.X @ comp.G)
+    return U1, comp.fit(beta_true + U1) - beta_true
 
 
 def inv_chisq_mean(k, lam):

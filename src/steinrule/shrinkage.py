@@ -47,9 +47,9 @@ class HFunction:
 
     @classmethod
     def smooth_inverse(cls, p):
-        """h = 1 / (1 + ||x - y||^p), bounded everywhere, for p >= 2."""
-        if p < 2:
-            raise ValueError(f"smooth inverse needs p >= 2, got {p}")
+        """h = 1 / (1 + ||x - y||^p), bounded everywhere, for finite p >= 2."""
+        if not 2 <= p < np.inf:
+            raise ValueError(f"smooth inverse needs a finite p >= 2, got {p}")
         return cls(SMOOTH_INVERSE, q0=_smooth_inverse_q0(float(p)), p=float(p))
 
     @classmethod
@@ -157,10 +157,9 @@ def plug_in_gap(resid, df, trace_gap):
 
     S^2 = resid'resid / df is the residual variance of the base fit, and
     trace_gap is the trace of the base covariance minus the competitor's,
-    over sigma^2 (Judge & Mittelhammer 2004). With G = (X'X)^-1 it is
-    trace(G) - sum(1 / d), d = diag(X'X), for the diagonal competitor and
-    trace(J Rmat G) for the restricted one. The data-driven member of the
-    class uses c = -a_hat with the inverse-square-norm weight.
+    over sigma^2 (Judge & Mittelhammer 2004): core_model.Competitor's
+    trace_gap. The data-driven member of the class uses c = -a_hat with
+    the inverse-square-norm weight.
     """
     return np.einsum("...i,...i->...", resid, resid) / df * trace_gap
 

@@ -3,6 +3,7 @@ vectorized replication cells, and relative mean square efficiency against
 the base estimator."""
 
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -10,7 +11,13 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _rng
-from .core_model import LinearRestriction, RestrictionError, restriction_projection
+from .core_model import (
+    DIAG,
+    Competitor,
+    LinearRestriction,
+    RestrictionError,
+    restriction_projection,
+)
 from .distributions import (
     DIRAC_AT_ONE,
     GAMMA_MIXTURE,
@@ -29,8 +36,6 @@ from .shrinkage import (
     plug_in_gap,
     spsl,
 )
-
-DIAG = "diag"
 
 
 class ConfigError(ValueError):
@@ -80,13 +85,24 @@ class SimConfig:
         self.beta_norms = _reals("beta_norms", self.beta_norms)
         if not self.beta_norms or any(b <= 0 for b in self.beta_norms):
             raise ConfigError("beta_norms must be a nonempty list of positive reals")
-        if isinstance(self.competitor, str) and self.competitor != DIAG:
+        if isinstance(self.competitor, LinearRestriction):
+            if self.competitor.k != self.k:
+                raise ConfigError(
+                    f"competitor restricts {self.competitor.k} coefficients, "
+                    f"config has k={self.k}")
+        elif self.competitor != DIAG:
             raise ConfigError(f"unknown competitor {self.competitor!r}")
         self.estimators = tuple(_sequence("estimators", self.estimators) or (spsl(),))
+        names = [est.name for est in self.estimators]
+        for name in names:
+            if not isinstance(name, str) or not name or names.count(name) > 1:
+                raise ConfigError(
+                    f"estimator names must be distinct nonempty strings, got {name!r}")
         if self.gamma_norms is not None:
             self.gamma_norms = _reals("gamma_norms", self.gamma_norms)
-            if any(g < 0 for g in self.gamma_norms):
-                raise ConfigError("gamma_norms must be nonnegative")
+            if not self.gamma_norms or any(g < 0 for g in self.gamma_norms):
+                raise ConfigError("gamma_norms must be a nonempty list of "
+                                  "nonnegative reals")
 
     @classmethod
     def from_json(cls, doc):
@@ -134,6 +150,8 @@ class SimConfig:
 def _real(key, value):
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{key} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
     return float(value)
 
 
@@ -153,13 +171,6 @@ def _object(obj, what):
     return obj
 
 
-def _number(obj, key, what):
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what} needs a number {key!r}, got {value!r}")
-    return value
-
-
 def _dist_from_json(obj):
     if obj is None or obj == DIRAC_AT_ONE:
         return EllipticalSpec.dirac()
@@ -170,10 +181,10 @@ def _dist_from_json(obj):
     if kind == DIRAC_AT_ONE:
         return EllipticalSpec.dirac()
     if kind == GAMMA_MIXTURE:
-        return EllipticalSpec.gamma_mixture(_number(obj, "nu", what))
+        return EllipticalSpec.gamma_mixture(_real(f"{what} 'nu'", obj.get("nu")))
     if kind == TWO_POINT_MIXTURE:
         return EllipticalSpec.two_point(
-            *(_number(obj, key, what) for key in ("z1", "z2", "w")))
+            *(_real(f"{what} {key!r}", obj.get(key)) for key in ("z1", "z2", "w")))
     raise ConfigError(f"unknown distribution kind {kind!r}")
 
 
@@ -210,7 +221,7 @@ def _h_from_json(obj):
         raise ConfigError(f"unknown weight {obj!r}")
     kind = _object(obj, "weight").get("kind")
     if kind == SMOOTH_INVERSE:
-        return HFunction.smooth_inverse(_number(obj, "p", f"weight {kind!r}"))
+        return HFunction.smooth_inverse(_real(f"weight {kind!r} 'p'", obj.get("p")))
     if kind in (INVERSE_SQ_NORM, ZERO, ONE):
         return _h_from_json(kind)
     raise ConfigError(f"unknown weight kind {kind!r}")
@@ -226,13 +237,9 @@ def _h_to_json(h):
 
 def _estimator_from_json(obj):
     name = _object(obj, "estimator").get("name")
-    if not name:
-        raise ConfigError("estimator entries need a name")
-    h = _h_from_json(obj.get("h", INVERSE_SQ_NORM))
     c = obj.get("c", "auto")
-    if c == "auto" or c is None:
-        return EstimatorDef(name, h, None)
-    return EstimatorDef(name, h, float(c))
+    c = None if c in ("auto", None) else _real(f"estimator {name!r} c", c)
+    return EstimatorDef(name, _h_from_json(obj.get("h", INVERSE_SQ_NORM)), c)
 
 
 @dataclass
@@ -343,7 +350,7 @@ def gamma_sweep(config):
     """
     if not isinstance(config.competitor, LinearRestriction):
         raise ConfigError("gamma sweep needs a restricted competitor")
-    if not config.gamma_norms:
+    if config.gamma_norms is None:
         raise ConfigError("no gamma_norms given")
     if len(config.beta_norms) != 1:
         raise ConfigError("gamma sweep uses a single beta norm")
@@ -372,13 +379,10 @@ def _run_cell(config, cell_id, X, beta, competitor):
     """All replications of one cell, vectorized. Returns the per-estimator
     (name, rmse, se) triples and the realized squared bias norm."""
     n, k, reps = config.n, config.k, config.replications
-    XtX = X.T @ X
     try:
-        G = np.linalg.inv(XtX)
-        J = None if competitor == DIAG else restriction_projection(XtX, competitor)
+        comp = Competitor(X.T @ X, competitor)
     except (np.linalg.LinAlgError, RestrictionError) as exc:
         raise ConfigError(f"cell {cell_id} failed: {exc}") from exc
-    XG = X @ G
 
     noise_seed = _rng.spawn_seed(config.seed, cell_id, 1)
     mix_seed = _rng.spawn_seed(config.seed, cell_id, 2)
@@ -386,23 +390,11 @@ def _run_cell(config, cell_id, X, beta, competitor):
     z = config.distribution.mixing_draws(mix_seed, reps)
     eps = (config.sigma / np.sqrt(z))[:, None] * g
 
-    U1 = eps @ XG
+    U1 = eps @ (X @ comp.G)
     beta_hat = beta + U1
-    if competitor == DIAG:
-        d = np.diag(XtX)
-        beta_tilde = (XtX @ beta) / d + eps @ (X / d)
-        gamma = (XtX @ beta) / d - beta
-        # trace gap over S^2: trace G - trace D^-1
-        gap_factor = float(np.trace(G)) - float(np.sum(1.0 / d))
-    else:
-        beta_tilde = beta_hat - (beta_hat @ competitor.Rmat.T
-                                 - competitor.r) @ J.T
-        gamma = -J @ (competitor.Rmat @ beta - competitor.r)
-        # trace gap over S^2: trace G - trace(G - J Rmat G)
-        gap_factor = float(np.trace(J @ (competitor.Rmat @ G)))
-
-    a_hat = plug_in_gap(eps - U1 @ X.T, n - k, gap_factor)
-    return (score(config.estimators, beta_hat, beta_tilde, a_hat, beta),
+    a_hat = plug_in_gap(eps - U1 @ X.T, n - k, comp.trace_gap)
+    gamma = comp.bias(beta)
+    return (score(config.estimators, beta_hat, comp.fit(beta_hat), a_hat, beta),
             float(gamma @ gamma))
 
 

@@ -10,6 +10,8 @@ from steinrule.risk_bounds import default_bound_suite
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "cigarette.csv")
 
+NAN, INF = float("nan"), float("inf")
+
 ANALYZE_ARGS = ["analyze", "--data", DATA, "--response", "co",
                 "--covariates", "tar,nicotine,weight"]
 
@@ -78,6 +80,26 @@ class TestSimulate:
         ({"estimators": 5}, "estimators"),
         ({"sigma": "a"}, "sigma"),
         ({"rho": "x"}, "rho"),
+        ({"beta_norms": [NAN, 1.0]}, "beta_norms"),
+        ({"beta_norms": [INF]}, "beta_norms"),
+        ({"gamma_norms": [NAN]}, "gamma_norms"),
+        ({"gamma_norms": []}, "gamma_norms"),
+        ({"competitor": {"Rmat": [[1, 0, 0]], "r": [INF]},
+          "gamma_norms": [1.0]}, "restriction r"),
+        ({"competitor": {"Rmat": [[1, None, 0]], "r": [0]},
+          "gamma_norms": [1.0]}, "restriction Rmat"),
+        ({"competitor": {"Rmat": [[1, 0]], "r": [0]},
+          "gamma_norms": [1.0]}, "competitor"),
+        ({"distribution": {"kind": "gamma-mixture", "nu": NAN}}, "'nu'"),
+        ({"distribution": {"kind": "two-point-mixture", "z1": INF, "z2": 1.0,
+                           "w": 0.5}}, "'z1'"),
+        ({"estimators": [{"name": "a", "c": [1]}]}, "estimator 'a' c"),
+        ({"estimators": [{"name": "a", "c": "abc"}]}, "estimator 'a' c"),
+        ({"estimators": [{"name": "a", "c": True}]}, "estimator 'a' c"),
+        ({"estimators": [{"name": "a", "c": NAN}]}, "estimator 'a' c"),
+        ({"estimators": [{"name": 5}]}, "name"),
+        ({"estimators": [{"h": "zero", "c": 0}]}, "name"),
+        ({"estimators": [{"name": "a"}, {"name": "a", "h": "zero"}]}, "'a'"),
     ])
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys,
                                                 override, key):
@@ -125,6 +147,13 @@ class TestVerifyBounds:
 
     def test_singular_rank_out_of_range(self, capsys):
         assert main(["verify-bounds", "--singular", "9"]) == 2
+
+    def test_nonfinite_nu_is_an_error(self, capsys):
+        assert main(["verify-bounds", "--samples", "2000",
+                     "--elliptical", "nan"]) == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err and "nu" in captured.err
+        assert "BOUND VIOLATION" not in captured.out
 
     def test_elliptical_section(self, capsys):
         code = main(["verify-bounds", "--samples", "20000",
@@ -196,6 +225,15 @@ class TestEstimate:
     def test_smooth_inverse_runs(self, capsys):
         rows = self.run(capsys, "--h", "smooth-inverse", "--p", "3")
         assert rows["estimate"] != rows["ls"]
+
+    @pytest.mark.parametrize("p", ["nan", "inf"])
+    def test_nonfinite_exponent_is_an_error(self, p, capsys):
+        code = main(["estimate", "--data", DATA, "--response", "co",
+                     "--covariates", "tar", "--h", "smooth-inverse", "--p", p])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "error" in captured.err and "p >= 2" in captured.err
+        assert captured.out == ""
 
     def test_bad_multiplier(self, capsys):
         code = main(["estimate", "--data", DATA, "--response", "co",

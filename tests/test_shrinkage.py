@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from steinrule import (
+    Competitor,
     DegenerateDifferenceWarning,
     EstimatorDef,
     HFunction,
@@ -179,10 +180,15 @@ class TestPlugInGap:
         expect = s2 * np.trace(G) - np.trace(s2 * np.diag(1.0 / d))
         got = plug_in_gap(resid, 25 - 4, np.trace(G) - np.sum(1.0 / d))
         assert got == pytest.approx(expect, rel=1e-10)
+        got = plug_in_gap(resid, 25 - 4, Competitor(X.T @ X).trace_gap)
+        assert got == pytest.approx(expect, rel=1e-10)
         Rmat = np.eye(2, 4)
-        J = restriction_projection(X.T @ X, LinearRestriction(Rmat, np.zeros(2)))
+        restriction = LinearRestriction(Rmat, np.zeros(2))
+        J = restriction_projection(X.T @ X, restriction)
         expect = s2 * np.trace(G) - np.trace(s2 * (G - J @ Rmat @ G))
         got = plug_in_gap(resid, 25 - 4, np.trace(J @ Rmat @ G))
+        assert got == pytest.approx(expect, rel=1e-10)
+        got = plug_in_gap(resid, 25 - 4, Competitor(X.T @ X, restriction).trace_gap)
         assert got == pytest.approx(expect, rel=1e-10)
 
     def test_rows_equal_single_calls(self):
