@@ -146,11 +146,12 @@ def cmd_analyze(args):
     data = load_csv(args.data).select(args.response,
                                       _split_covariates(args.covariates))
     table = correlation_table(data)
+    # the report first, so a refused run prints nothing to stdout
+    report = bootstrap_efficiency(data, B=args.bootstrap, seed=args.seed)
     print("correlations:")
     print(matrix_text(table.names, table.r))
     print("p-values:")
     print(matrix_text(table.names, table.p))
-    report = bootstrap_efficiency(data, B=args.bootstrap, seed=args.seed)
     print(report)
     if args.bootstrap < 1000:
         print(f"note: B={args.bootstrap} gives wide bootstrap standard errors")

@@ -61,10 +61,16 @@ class LinearModel:
 
 
 def _design_rank(X, raise_on_deficient=False):
-    n, k = X.shape
-    s = np.linalg.svd(X, compute_uv=False)
-    tol = max(n, k) * np.finfo(float).eps * (s[0] if s.size else 0.0)
-    rank = int(np.sum(s > tol))
+    return int(_svd_rank(np.linalg.svd(X, compute_uv=False), *X.shape,
+                         raise_on_deficient))
+
+
+def _svd_rank(s, n, k, raise_on_deficient=False):
+    """Numerical rank of an n x k design, or of each in a stack, from its
+    descending singular values s (..., min(n, k)): the count above
+    max(n, k) * eps * s[0]."""
+    tol = max(n, k) * np.finfo(float).eps * s[..., :1]
+    rank = np.sum(s > tol, axis=-1)
     if raise_on_deficient and rank < k:
         raise RankDeficientError(f"design matrix has rank {rank}, expected {k}")
     return rank
@@ -189,11 +195,20 @@ class JointMoments:
 def fit_ols(model):
     """Least squares fit, solved through the SVD of the design."""
     u, s, vt = np.linalg.svd(model.X, full_matrices=False)
-    tol = max(model.n, model.k) * np.finfo(float).eps * s[0]
-    rank = int(np.sum(s > tol))
-    if rank < model.k:
-        raise RankDeficientError(f"design matrix has rank {rank}, expected {model.k}")
-    return vt.T @ ((u.T @ model.y) / s)
+    _svd_rank(s, model.n, model.k, raise_on_deficient=True)
+    return _svd_solve(u, s, vt, model.y)
+
+
+def _svd_solve(u, s, vt, y):
+    """The least-squares fit vt' ((u' y) / s) from the thin SVD of a
+    full-rank design, or of each design in a stack with y (..., n)."""
+    return _mv(vt.swapaxes(-1, -2), _mv(u.swapaxes(-1, -2), y) / s)
+
+
+def _mv(A, v):
+    """Matrix times vector over any leading stack axes. Each product is
+    bitwise that of A @ v on the unstacked pair, which einsum is not."""
+    return (A @ v[..., None])[..., 0]
 
 
 def fit_diag_competitor(model):

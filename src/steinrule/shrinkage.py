@@ -1,6 +1,8 @@
 """The combined-estimator class: base + c * h(base, competitor) * (base - competitor),
 its named members, and the weight-function contracts they must satisfy."""
 
+import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -115,8 +117,10 @@ class EstimatorDef:
     c: Optional[float] = None
 
     def __post_init__(self):
-        if self.c is not None and not np.isfinite(self.c):
-            raise ValueError(f"c must be finite or None, got {self.c}")
+        c = self.c
+        if c is not None and (isinstance(c, bool) or not isinstance(c, numbers.Real)
+                              or not math.isfinite(c)):
+            raise ValueError(f"c must be a finite real number or None, got {c!r}")
 
     def multiplier(self, a_hat):
         """The c applied to samples with plug-in risk gaps a_hat: -a_hat

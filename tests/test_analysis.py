@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,50 @@ from steinrule import (
     point_estimates,
     spsl,
 )
-from steinrule import _rng
+from steinrule import _rng, plug_in_gap
+from steinrule.core_model import _design_rank
+from steinrule.simulation import score
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cigarette.csv")
+
+
+def sparse_data(tmp_path):
+    # a dummy column set in one row of eight: resamples that miss the row
+    # lose rank and are redrawn
+    path = tmp_path / "sparse.csv"
+    rows = ["y,x,d"] + [f"{0.3 * i + (i % 3)},{i},{int(i == 0)}"
+                        for i in range(8)]
+    path.write_text("\n".join(rows) + "\n")
+    return load_csv(path).select("y", ["x", "d"])
+
+
+def loop_bootstrap(data, B, seed):
+    """The bootstrap one replicate at a time: a one-row draw, a rank check,
+    stream-2 redraws numbered in sequence, and the fit from the replicate's
+    own SVD. Returns the (name, efficiency, se) triples and the redraws."""
+    X, y = data.design()
+    n, k = X.shape
+
+    def draw(stream, index):
+        u = _rng.uniforms(seed, 1, n, stream=stream, start=index)[0]
+        return np.minimum((u * n).astype(int), n - 1)
+
+    beta_hat, beta_tilde, a_hat = np.empty((B, k)), np.empty((B, k)), np.empty(B)
+    redraws = 0
+    for b in range(B):
+        idx = draw(0, b)
+        while _design_rank(X[idx]) < k:
+            idx = draw(2, redraws)
+            redraws += 1
+        Xb, yb = X[idx], y[idx]
+        u, s, vt = np.linalg.svd(Xb, full_matrices=False)
+        beta_hat[b] = vt.T @ ((u.T @ yb) / s)
+        d = np.einsum("ij,ij->j", Xb, Xb)
+        beta_tilde[b] = (Xb.T @ yb) / d
+        a_hat[b] = plug_in_gap(yb - Xb @ beta_hat[b], n - k,
+                               np.sum(1.0 / s**2) - np.sum(1.0 / d))
+    reference = point_estimates(data)["ls"]
+    return score([spsl()], beta_hat, beta_tilde, a_hat, reference), redraws
 
 
 @pytest.fixture(scope="module")
@@ -215,17 +257,50 @@ class TestBootstrapEfficiency:
         assert doc["B"] == 200
 
     def test_json_reports_redraws(self, tmp_path):
-        # a dummy column set in one row of eight: resamples that miss the
-        # row lose rank and are redrawn, and the report must say how often
-        path = tmp_path / "sparse.csv"
-        rows = ["y,x,d"] + [f"{0.3 * i + (i % 3)},{i},{int(i == 0)}"
-                            for i in range(8)]
-        path.write_text("\n".join(rows) + "\n")
-        data = load_csv(path).select("y", ["x", "d"])
-        rep = bootstrap_efficiency(data, B=200, seed=0)
+        # the report must say how often a resample was redrawn
+        rep = bootstrap_efficiency(sparse_data(tmp_path), B=200, seed=0)
         doc = json.loads(rep.to_json())
         assert rep.redraws > 0
         assert doc["redraws"] == rep.redraws
+
+    @pytest.mark.parametrize("B, seed", [(200, 0), (5000, 1)])
+    def test_redraws_match_per_replicate_loop(self, tmp_path, B, seed):
+        # B = 5000 is no multiple of the chunk size, and deficient rows
+        # fall in every chunk: stacking must not move a bit or a redraw
+        data = sparse_data(tmp_path)
+        rep = bootstrap_efficiency(data, B=B, seed=seed)
+        triples, redraws = loop_bootstrap(data, B, seed)
+        assert rep.redraws == redraws > 0
+        for name, ratio, se in triples:
+            assert rep.relative_efficiency[name] == ratio
+            assert rep.efficiency_se[name] == se
+
+    def test_gives_up_on_hopeless_design(self, tmp_path):
+        # six dummies, each set in one of 20 rows: almost no resample keeps
+        # them all, so the redraw budget of 10 B runs out
+        path = tmp_path / "hopeless.csv"
+        names = [f"d{j}" for j in range(6)]
+        rows = [",".join(["y", "x"] + names)] + [
+            ",".join([f"{0.3 * i + (i % 3)}", f"{i}"]
+                     + [str(int(i == j)) for j in range(6)])
+            for i in range(20)]
+        path.write_text("\n".join(rows) + "\n")
+        data = load_csv(path).select("y", ["x"] + names)
+        with pytest.raises(
+                DataError,
+                match="^bootstrap gave up after 1000 rank-deficient redraws$"):
+            bootstrap_efficiency(data, B=100, seed=0)
+
+    def test_memory_flat_in_replications(self, smoke_model):
+        # replicates are fitted in chunks: a (B, n, k) stack of resampled
+        # designs alone would take 16 MB at B = 20000
+        tracemalloc.start()
+        try:
+            bootstrap_efficiency(smoke_model, B=20_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
 
     def test_str_report(self, smoke_model):
         text = str(bootstrap_efficiency(smoke_model, B=200, seed=0))

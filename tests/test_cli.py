@@ -175,6 +175,12 @@ class TestAnalyze:
         assert main(ANALYZE_ARGS + ["--bootstrap", "100"]) == 0
         assert "wide bootstrap standard errors" in capsys.readouterr().out
 
+    def test_refused_bootstrap_prints_nothing(self, capsys):
+        assert main(ANALYZE_ARGS + ["--bootstrap", "99"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "at least 100 replications" in captured.err
+
     def test_json_out(self, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(ANALYZE_ARGS + ["--bootstrap", "200", "--out", str(out)])

@@ -145,6 +145,11 @@ class TestEstimatorDef:
         with pytest.raises(ValueError):
             EstimatorDef("bad", HFunction.one(), np.inf)
 
+    @pytest.mark.parametrize("c", [True, [1], 1 + 2j, "abc"])
+    def test_spec_rejects_c_that_is_not_a_real_number(self, c):
+        with pytest.raises(ValueError, match="^c must be a finite real number"):
+            EstimatorDef("bad", HFunction.one(), c)
+
     def test_multiplier(self):
         a_hat = np.array([0.3, -1.5])
         np.testing.assert_array_equal(spsl().multiplier(a_hat), -a_hat)
