@@ -11,14 +11,16 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import _rng
-from .core_model import LinearModel, _design_rank, _mv, _svd_rank, _svd_solve
+from .core_model import LinearModel, _mv, _svd_rank, _svd_solve
 from .shrinkage import apply_rule, plug_in_gap, spsl
 from .simulation import score
 
 
-# replicates per stacked SVD: a (512, n, k) stack keeps the bootstrap's
-# memory flat in B, and larger chunks were no faster on the brand data
-_CHUNK = 512
+# float64 elements in one stacked design or its SVD factor u (400 kB):
+# 512 replicates of the 25 x 4 brand design, where larger chunks were no
+# faster. Chunks hold floor(_STACK_ELEMS / (n k)) replicates, at least one,
+# so the bootstrap's memory stays flat in both B and n.
+_STACK_ELEMS = 512 * 25 * 4
 
 
 class DataError(ValueError):
@@ -204,6 +206,15 @@ def _as_def(spec):
     return spsl() if spec is None else spec
 
 
+def _design_rank(X):
+    """Rank of one design by core_model's rule, with the thin SVD it was
+    read from: an accepted redraw is fitted from the very singular values
+    that passed, as the rows of a chunk are. The trace in perfbench counts
+    rank checks at this name."""
+    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    return int(_svd_rank(s, *X.shape)), (u, s, vt)
+
+
 def _fit_pair(X, y, u, s, vt):
     """The base fit, the diagonal competitor D^-1 X'y and the plug-in risk
     gap on one design (n, k) or a stack of them (m, n, k), given the thin
@@ -248,10 +259,11 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     full-sample base fit. Relative efficiency is that mean squared error
     over the base estimator's own.
 
-    Replicates are drawn and fitted in stacked chunks, one SVD per chunk
-    serving both the rank check and the fit. Replicates whose resampled
-    design loses rank are redrawn, in replicate order, from a dedicated
-    stream; more than 10 B redraws aborts.
+    Replicates are drawn and fitted in stacked chunks of about 400 kB of
+    design each, one SVD per chunk serving both the rank check and the
+    fit. Replicates whose resampled design loses rank are redrawn, in
+    replicate order, from a dedicated stream; more than 10 B redraws
+    aborts.
     """
     if B < 100:
         raise DataError(f"need at least 100 replications, got B={B}")
@@ -260,6 +272,7 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
         raise DataError("'ls' names the base estimator")
     X, y, full = _full_sample(data, defs)
     n, k = X.shape
+    chunk = max(1, _STACK_ELEMS // (n * k))
 
     def draw(count, stream, start):
         unif = _rng.uniforms(seed, count, n, stream=stream, start=start)
@@ -267,8 +280,8 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
 
     beta_hat, beta_tilde, a_hat = np.empty((B, k)), np.empty((B, k)), np.empty(B)
     redraws = 0
-    for lo in range(0, B, _CHUNK):
-        idx = draw(min(_CHUNK, B - lo), 0, lo)
+    for lo in range(0, B, chunk):
+        idx = draw(min(chunk, B - lo), 0, lo)
         Xb = X[idx]
         u, s, vt = np.linalg.svd(Xb, full_matrices=False)
         for i in np.flatnonzero(_svd_rank(s, n, k) < k):
@@ -278,10 +291,10 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
                         f"bootstrap gave up after {redraws} rank-deficient redraws")
                 idx[i] = draw(1, 2, redraws)[0]
                 redraws += 1
-                if _design_rank(X[idx[i]]) == k:
+                Xb[i] = X[idx[i]]
+                rank, (u[i], s[i], vt[i]) = _design_rank(Xb[i])
+                if rank == k:
                     break
-            Xb[i] = X[idx[i]]
-            u[i], s[i], vt[i] = np.linalg.svd(Xb[i], full_matrices=False)
         hi = lo + len(idx)
         beta_hat[lo:hi], beta_tilde[lo:hi], a_hat[lo:hi] = _fit_pair(
             Xb, y[idx], u, s, vt)

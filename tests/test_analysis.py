@@ -38,13 +38,21 @@ def sparse_data(tmp_path):
 def loop_bootstrap(data, B, seed):
     """The bootstrap one replicate at a time: a one-row draw, a rank check,
     stream-2 redraws numbered in sequence, and the fit from the replicate's
-    own SVD. Returns the (name, efficiency, se) triples and the redraws."""
+    own SVD, scored against the same SVD fit of the full sample. Returns
+    the (name, efficiency, se) triples and the redraws."""
     X, y = data.design()
     n, k = X.shape
 
     def draw(stream, index):
         u = _rng.uniforms(seed, 1, n, stream=stream, start=index)[0]
         return np.minimum((u * n).astype(int), n - 1)
+
+    def fit(Xb, yb):
+        u, s, vt = np.linalg.svd(Xb, full_matrices=False)
+        bh = vt.T @ ((u.T @ yb) / s)
+        d = np.einsum("ij,ij->j", Xb, Xb)
+        return bh, (Xb.T @ yb) / d, plug_in_gap(
+            yb - Xb @ bh, n - k, np.sum(1.0 / s**2) - np.sum(1.0 / d))
 
     beta_hat, beta_tilde, a_hat = np.empty((B, k)), np.empty((B, k)), np.empty(B)
     redraws = 0
@@ -53,14 +61,8 @@ def loop_bootstrap(data, B, seed):
         while _design_rank(X[idx]) < k:
             idx = draw(2, redraws)
             redraws += 1
-        Xb, yb = X[idx], y[idx]
-        u, s, vt = np.linalg.svd(Xb, full_matrices=False)
-        beta_hat[b] = vt.T @ ((u.T @ yb) / s)
-        d = np.einsum("ij,ij->j", Xb, Xb)
-        beta_tilde[b] = (Xb.T @ yb) / d
-        a_hat[b] = plug_in_gap(yb - Xb @ beta_hat[b], n - k,
-                               np.sum(1.0 / s**2) - np.sum(1.0 / d))
-    reference = point_estimates(data)["ls"]
+        beta_hat[b], beta_tilde[b], a_hat[b] = fit(X[idx], y[idx])
+    reference = fit(X, y)[0]
     return score([spsl()], beta_hat, beta_tilde, a_hat, reference), redraws
 
 
@@ -297,6 +299,23 @@ class TestBootstrapEfficiency:
         tracemalloc.start()
         try:
             bootstrap_efficiency(smoke_model, B=20_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
+
+    def test_memory_flat_in_rows(self, tmp_path):
+        # chunks shrink as designs grow: one chunk of all 100 replicates of
+        # this 20000 x 2 design would hold 32 MB in X[idx] alone (a fixed
+        # chunk of 512 peaked at 128 MB here)
+        path = tmp_path / "tall.csv"
+        rows = ["y,x"] + [f"{0.3 * i + (i % 7)},{i % 101}"
+                          for i in range(20_000)]
+        path.write_text("\n".join(rows) + "\n")
+        data = load_csv(path).select("y", ["x"])
+        tracemalloc.start()
+        try:
+            bootstrap_efficiency(data, B=100, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
