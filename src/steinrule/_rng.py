@@ -7,6 +7,8 @@ which `Generator.random` turns into 4 doubles, so a logical draw of
 dimension d is padded to whole ticks: stride = ceil(d / 4) * 4 uniforms.
 """
 
+import operator
+
 import numpy as np
 from scipy.special import ndtri
 
@@ -17,9 +19,31 @@ _U_FLOOR = 2.0 ** -53
 STREAM_NOISE = 0
 STREAM_MIXING = 1
 
+# float64 values per array in a chunked pass (400 kB): the bound suite
+# draws chunk_rows(width) draws per chunk, the bootstrap fits
+# CHUNK_ELEMS // (n k) replicates of an n x k design per chunk, so the
+# memory of both stays flat in the draw or replicate count.
+CHUNK_ELEMS = 512 * 25 * 4
+
 
 def _block_stride(dim):
     return -(-dim // _WORDS_PER_TICK) * _WORDS_PER_TICK
+
+
+def chunk_rows(dim):
+    """Draws per chunk when one draw holds `dim` values, at least one."""
+    return max(1, CHUNK_ELEMS // _block_stride(dim))
+
+
+def _key(seed):
+    """The seed as an int, refused unless it is an integer in [0, 2**64)."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if isinstance(seed, bool) or not 0 <= value < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    return value
 
 
 def uniforms(seed, count, dim, stream=0, start=0):
@@ -29,7 +53,7 @@ def uniforms(seed, count, dim, stream=0, start=0):
     for any batching of the index range.
     """
     stride = _block_stride(dim)
-    key = np.array([seed, stream], dtype=np.uint64)
+    key = np.array([_key(seed), stream], dtype=np.uint64)
     bg = np.random.Philox(key=key)
     bg.advance(start * (stride // _WORDS_PER_TICK))
     u = np.random.Generator(bg).random((count, stride))
@@ -44,4 +68,4 @@ def normals(seed, count, dim, stream=0, start=0):
 
 def spawn_seed(seed, *path):
     """Derive a child seed for a labelled work unit (e.g. a sweep cell)."""
-    return np.random.SeedSequence((seed,) + tuple(path)).generate_state(1)[0]
+    return np.random.SeedSequence((_key(seed),) + tuple(path)).generate_state(1)[0]

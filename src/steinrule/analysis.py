@@ -16,13 +16,6 @@ from .shrinkage import apply_rule, plug_in_gap, spsl
 from .simulation import score
 
 
-# float64 elements in one stacked design or its SVD factor u (400 kB):
-# 512 replicates of the 25 x 4 brand design, where larger chunks were no
-# faster. Chunks hold floor(_STACK_ELEMS / (n k)) replicates, at least one,
-# so the bootstrap's memory stays flat in both B and n.
-_STACK_ELEMS = 512 * 25 * 4
-
-
 class DataError(ValueError):
     """File contents or column roles that cannot be analyzed."""
 
@@ -272,7 +265,10 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
         raise DataError("'ls' names the base estimator")
     X, y, full = _full_sample(data, defs)
     n, k = X.shape
-    chunk = max(1, _STACK_ELEMS // (n * k))
+    # one stacked design or its SVD factor u holds _rng.CHUNK_ELEMS values:
+    # 512 replicates of the 25 x 4 brand design, where larger chunks were no
+    # faster, and fewer for taller designs, so memory stays flat in B and n
+    chunk = max(1, _rng.CHUNK_ELEMS // (n * k))
 
     def draw(count, stream, start):
         unif = _rng.uniforms(seed, count, n, stream=stream, start=start)

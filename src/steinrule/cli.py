@@ -101,6 +101,9 @@ def cmd_simulate(args):
 
 
 def cmd_verify_bounds(args):
+    if args.k < 1:
+        print("error: --k must be at least 1", file=sys.stderr)
+        return 2
     if args.k <= 2 and not args.allow_divergent:
         print("k <= 2 makes the inverse moments divergent; "
               "pass --allow-divergent to proceed", file=sys.stderr)

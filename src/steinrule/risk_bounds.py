@@ -4,6 +4,7 @@ the theory provides: moment caps, truncated cross-term bounds, the
 Rayleigh-quotient caps, and the singular and elliptical extensions."""
 
 from dataclasses import dataclass, replace
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -71,48 +72,146 @@ class BoundReport:
                 f"slack={self.slack:.3g} tol={self.tolerance:.3g} [{state}]")
 
 
-def _mean_se(terms):
-    n = terms.shape[0]
+def _need_two(n):
     if n < 2:
         raise ValueError(f"need at least 2 draws for a mean and its "
                          f"standard error, got {n}")
-    return float(terms.mean()), float(terms.std(ddof=1) / np.sqrt(n))
+
+
+def _merge(a, b):
+    """Count, mean and centred sum of squares of two parts, per row, by the
+    pairwise update of Chan, Golub and LeVeque (1979)."""
+    (na, ma, m2a), (nb, mb, m2b) = a, b
+    n = na + nb
+    with np.errstate(invalid="ignore"):
+        delta = mb - ma
+        # a row holding inf merges its sums, so it stays inf as in np.mean
+        mean = np.where(np.isfinite(delta), ma + delta * (nb / n),
+                        (na * ma + nb * mb) / n)
+        return n, mean, m2a + m2b + delta * delta * (na * nb / n)
+
+
+class _Running:
+    """Count, mean and centred sum of squares of each row of terms fed in
+    chunks of shape (rows, draws). Chunks are merged pairwise, equal
+    numbers of chunks at a time (Chan, Golub and LeVeque's pairwise
+    algorithm), so rounding grows with the log of the chunk count. Every
+    chunk is centred on the first chunk's means, so a row far from zero
+    keeps its digits."""
+
+    def __init__(self):
+        self.parts = []    # (chunks, (n, mean, m2)), chunks halving down
+
+    def add(self, rows):
+        terms = np.stack(rows)
+        if not self.parts:
+            first = terms.mean(axis=1)
+            self.shift = np.where(np.isfinite(first), first, 0.0)
+        terms -= self.shift[:, None]
+        mean = terms.mean(axis=1)
+        terms -= mean[:, None]
+        chunks, part = 1, (terms.shape[1], mean, (terms * terms).sum(axis=1))
+        while self.parts and self.parts[-1][0] == chunks:
+            part = _merge(self.parts.pop()[1], part)
+            chunks *= 2
+        self.parts.append((chunks, part))
+
+    def mean_se(self):
+        """(mean, standard error of the mean) per row."""
+        n = sum(part[0] for _, part in self.parts)
+        _need_two(n)
+        _, mean, m2 = reduce(_merge, [part for _, part in self.parts])
+        se = np.sqrt(m2 / (n - 1)) / np.sqrt(n)
+        return [(float(mu), float(s)) for mu, s in zip(self.shift + mean, se)]
+
+
+def _reduce(rows):
+    """(mean, se) of each per-draw row, all draws at once."""
+    acc = _Running()
+    acc.add(rows)
+    return acc.mean_se()
+
+
+def _stream(m, sample, count, terms):
+    """(mean, se) of each row of terms(_Draws) over count draws of (U1, U2),
+    taken from sample(size, start) in chunks of _rng.chunk_rows(2k) draws;
+    the samplers address draws by index, so the chunks concatenate to the
+    draws of one sample(count, 0) call."""
+    _need_two(count)
+    chunk = _rng.chunk_rows(2 * m.k)
+    acc = _Running()
+    for lo in range(0, count, chunk):
+        acc.add(terms(_Draws(m, *sample(min(chunk, count - lo), lo))))
+    return acc.mean_se()
+
+
+def _rowdot(a, b):
+    return np.einsum("ij,ij->i", a, b)
+
+
+class _Draws:
+    """One batch of (U1, U2) and the per-draw quantities the checks share,
+    each computed once, on first use. The factor-coordinate terms use the
+    identity P Z = U1 - U2 (true almost surely, also in the singular case),
+    so the cross term is U1'(U1-U2) / ||U1-U2||^2."""
+
+    def __init__(self, m, U1, U2):
+        self.m, self.U1, self.U2 = m, U1, U2
+        self.diff = U1 - U2
+        self.sq = _rowdot(self.diff, self.diff)
+
+    @cached_property
+    def cross(self):
+        return _rowdot(self.U1, self.diff)
+
+    @cached_property
+    def inv_sq(self):
+        with np.errstate(divide="ignore"):
+            return 1.0 / self.sq
+
+    @cached_property
+    def eta(self):
+        return self.cross * self.inv_sq
+
+    @cached_property
+    def eta_ddag(self):
+        return np.abs(self.cross) * self.inv_sq
+
+    @cached_property
+    def zz(self):
+        """Squared norm of the factor coordinates Z of the difference."""
+        Z = self.m.factor_coords(self.diff)
+        return _rowdot(Z, Z)
+
+    @cached_property
+    def window_sq(self):
+        """||U1||^2 + ||Z||^2, which the cross-term bounds split at alpha^2."""
+        return _rowdot(self.U1, self.U1) + self.zz
+
+
+def _h_terms(d, h):
+    """Per draw: the eta_h and omega_h terms of weight h. For the
+    inverse-square-norm weight these are the eta and omega arrays
+    themselves, keeping the two views bit-equal. Weights that inspect more
+    than the difference are evaluated with the truth at the origin."""
+    if h.kind == INVERSE_SQ_NORM:
+        return d.eta, d.inv_sq
+    hv = h._values_from(d.U1, d.U2, d.sq)
+    return hv * d.cross, (hv * hv) * d.sq
+
+
+def _risk_moments(m, count, stats):
+    """RiskMoments from the (mean, se) of eta_h, omega_h, eta, eta_ddag and
+    omega, in that order."""
+    means, ses = zip(*stats)
+    return RiskMoments(*means, *ses, count=count, unreliable=m.q <= 2)
 
 
 def estimate_risk_moments(m, h, U1, U2):
-    """Estimate all five moments from one shared set of draws (U1, U2).
-
-    The factor-coordinate terms use the identity P Z = U1 - U2 (true
-    almost surely, also in the singular case), so the cross term is
-    U1'(U1-U2) / ||U1-U2||^2. For the inverse-square-norm weight the
-    h-moments reuse those exact arrays, keeping the two views bit-equal.
-    Weights that inspect more than the difference are evaluated with the
-    truth at the origin.
-    """
-    diff = U1 - U2
-    sq = np.einsum("ij,ij->i", diff, diff)
-    cross = np.einsum("ij,ij->i", U1, diff)
-    with np.errstate(divide="ignore"):
-        inv_sq = 1.0 / sq
-    eta_terms = cross * inv_sq
-    eta_ddag_terms = np.abs(cross) * inv_sq
-    omega_terms = inv_sq
-    if h.kind == INVERSE_SQ_NORM:
-        eta_h_terms = eta_terms
-        omega_h_terms = omega_terms
-    else:
-        hv = h._values_from(U1, U2, sq)
-        eta_h_terms = hv * cross
-        omega_h_terms = (hv * hv) * sq
-
-    eta_h, se_eta_h = _mean_se(eta_h_terms)
-    omega_h, se_omega_h = _mean_se(omega_h_terms)
-    eta, se_eta = _mean_se(eta_terms)
-    eta_ddag, se_eta_ddag = _mean_se(eta_ddag_terms)
-    omega, se_omega = _mean_se(omega_terms)
-    return RiskMoments(eta_h, omega_h, eta, eta_ddag, omega,
-                       se_eta_h, se_omega_h, se_eta, se_eta_ddag, se_omega,
-                       count=U1.shape[0], unreliable=m.q <= 2)
+    """Estimate all five moments from one shared set of draws (U1, U2)."""
+    d = _Draws(m, U1, U2)
+    return _risk_moments(m, U1.shape[0],
+                         _reduce((*_h_terms(d, h), d.eta, d.eta_ddag, d.inv_sq)))
 
 
 def mse_analytic(m, moments, c):
@@ -133,7 +232,7 @@ def mse_empirical(m, h, c, U1, U2):
     Monte Carlo error for every c, which is the decomposition identity.
     """
     est = apply_rule(U1, U2, h, -c)
-    return _mean_se(np.einsum("ij,ij->i", est, est))
+    return _reduce((_rowdot(est, est),))[0]
 
 
 def check_prop_eta_omega(moments, q0):
@@ -147,40 +246,42 @@ def check_prop_eta_omega(moments, q0):
     return r_eta, r_omega
 
 
-def _window_terms(m, U1, U2, alpha):
-    """Per draw: 1 / sq, |cross| / sq, and the squared window norm
-    ||U1||^2 + ||Z||^2 that the cross-term bounds split at alpha^2."""
+def _window_core(d, alpha, side):
+    """Per draw: the eta_ddag term |cross| / sq where side(window_sq,
+    alpha^2) holds, else 0; side is np.less_equal for the small window,
+    np.greater for the tail."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    diff = U1 - U2
-    sq = np.einsum("ij,ij->i", diff, diff)
-    Z = m.factor_coords(diff)
-    w_sq = np.einsum("ij,ij->i", U1, U1) + np.einsum("ij,ij->i", Z, Z)
-    with np.errstate(divide="ignore"):
-        inv_sq = 1.0 / sq
-        core = np.abs(np.einsum("ij,ij->i", U1, diff)) / sq
-    return inv_sq, core, w_sq
+    return np.where(side(d.window_sq, alpha * alpha), d.eta_ddag, 0.0)
 
 
-def check_born1(m, U1, U2, alpha):
-    """Cross term restricted to the small-norm window, against the
-    window-squared cap alpha^2 psi1 omega / 2."""
-    inv_sq, core, w_sq = _window_terms(m, U1, U2, alpha)
-    lhs, se_lhs = _mean_se(np.where(w_sq <= alpha * alpha, core, 0.0))
-    omega_hat, se_omega = _mean_se(inv_sq)
+def _born1_report(m, alpha, small, omega):
+    (lhs, se_lhs), (omega_hat, se_omega) = small, omega
     scale = 0.5 * alpha * alpha * m.psi1
     return BoundReport.compare("cross-term-small-window", lhs, scale * omega_hat,
                                3.0 * (se_lhs + scale * se_omega))
 
 
-def check_born2(m, U1, U2, alpha):
-    """Cross term outside the window, against the analytic tail cap
-    psi1 (trace A + q + mu'mu) / (alpha^2 psi0)."""
-    _, core, w_sq = _window_terms(m, U1, U2, alpha)
-    lhs, se_lhs = _mean_se(np.where(w_sq > alpha * alpha, core, 0.0))
+def check_born1(m, U1, U2, alpha):
+    """Cross term restricted to the small-norm window, against the
+    window-squared cap alpha^2 psi1 omega / 2."""
+    d = _Draws(m, U1, U2)
+    return _born1_report(m, alpha, *_reduce(
+        (_window_core(d, alpha, np.less_equal), d.inv_sq)))
+
+
+def _born2_report(m, alpha, tail):
+    lhs, se_lhs = tail
     mu_sq = float(m.mu @ m.mu)
     rhs = m.psi1 * (m.trace_A + m.q + mu_sq) / (alpha * alpha * m.psi0)
     return BoundReport.compare("cross-term-tail", lhs, rhs, 3.0 * se_lhs)
+
+
+def check_born2(m, U1, U2, alpha):
+    """Cross term outside the window, against the analytic tail cap
+    psi1 (trace A + q + mu'mu) / (alpha^2 psi0)."""
+    d = _Draws(m, U1, U2)
+    return _born2_report(m, alpha, *_reduce((_window_core(d, alpha, np.greater),)))
 
 
 def check_corinterm(m, moments):
@@ -220,14 +321,11 @@ def check_courant(C, trials, seed):
     return r1, r2, r3
 
 
-def check_singular_omega(m, h, Lambda, U1, U2):
-    """Curvature moment of a bounded weight against the trace cap that the
-    singular theory gives under the projection conditions on Lambda.
-
-    Returns the cap report and a distributional cross-check: the quadratic
-    form of the difference under Lambda Xi Lambda must average to
-    q + noncentrality.
-    """
+def _singular_form(m, h, Lambda):
+    """Lambda Xi Lambda, once Lambda and h meet the singular theory's
+    conditions: Lambda symmetric positive definite with Lambda^(1/2) Xi
+    Lambda^(1/2) idempotent and fixing the bias, h bounded and a function
+    of the difference only."""
     Lambda = np.asarray(Lambda, dtype=float)
     vals, vecs = np.linalg.eigh(0.5 * (Lambda + Lambda.T))
     if vals[0] <= 0:
@@ -243,18 +341,19 @@ def check_singular_omega(m, h, Lambda, U1, U2):
         raise ValueError("weight needs a finite positive bound constant")
     if not h.depends_only_on_difference:
         raise ValueError("weight must depend only on the difference")
+    return LXL
 
-    diff = U1 - U2
-    sq = np.einsum("ij,ij->i", diff, diff)
-    hv = h._values_from(U1, U2, sq)
-    omega_h_hat, se = _mean_se((hv * hv) * sq)
 
-    qf = np.einsum("ij,ij->i", diff @ LXL, diff)
-    qf_mean, qf_se = _mean_se(qf)
+def _singular_terms(d, h, LXL):
+    """Per draw: the omega_h term and the quadratic form D' LXL D."""
+    return _h_terms(d, h)[1], _rowdot(d.diff @ LXL, d.diff)
+
+
+def _singular_reports(m, h, LXL, omega_h, qf):
+    (omega_h_hat, se), (qf_mean, qf_se) = omega_h, qf
     target = m.q + float(m.gamma @ LXL @ m.gamma)
     mean_report = BoundReport.compare("difference-quadratic-form-mean",
                                       abs(qf_mean - target), 0.0, 3.0 * qf_se)
-
     if m.q <= 2:
         bound = BoundReport("singular-omega-cap[not-applicable-q<=2]",
                             omega_h_hat, np.inf, True, np.inf, 0.0)
@@ -264,21 +363,33 @@ def check_singular_omega(m, h, Lambda, U1, U2):
     return bound, mean_report
 
 
-def check_elliptical_omega(m, spec, U1, U2):
-    """Inverse squared norm of the factor coordinates under draws from the
-    scale mixture spec, against the mixing-mean cap, plus the eigenvalue
-    sandwich tying it to the curvature moment. Three reports."""
+def check_singular_omega(m, h, Lambda, U1, U2):
+    """Curvature moment of a bounded weight against the trace cap that the
+    singular theory gives under the projection conditions on Lambda.
+
+    Returns the cap report and a distributional cross-check: the quadratic
+    form of the difference under Lambda Xi Lambda must average to
+    q + noncentrality.
+    """
+    LXL = _singular_form(m, h, Lambda)
+    return _singular_reports(m, h, LXL, *_reduce(
+        _singular_terms(_Draws(m, U1, U2), h, LXL)))
+
+
+def _elliptical_cap(m, spec):
     if m.q <= 2:
         raise DivergentMomentError(
             f"inverse norm moment needs factor dimension >= 3, got q={m.q}")
-    diff = U1 - U2
-    sq = np.einsum("ij,ij->i", diff, diff)
-    Z = m.factor_coords(diff)
-    zz = np.einsum("ij,ij->i", Z, Z)
-    inv_zz_hat, se_zz = _mean_se(1.0 / zz)
-    omega_hat, se_om = _mean_se(1.0 / sq)
+    return spec.first_abs_moment / (m.q - 2)
 
-    cap = spec.first_abs_moment / (m.q - 2)
+
+def _elliptical_terms(d):
+    """Per draw: 1 / ||Z||^2 and 1 / ||U1 - U2||^2."""
+    return 1.0 / d.zz, d.inv_sq
+
+
+def _elliptical_reports(m, cap, inv_zz, omega):
+    (inv_zz_hat, se_zz), (omega_hat, se_om) = inv_zz, omega
     rw = np.linalg.eigvalsh(m.R)
     lam_min, lam_max = float(rw[0]), float(rw[-1])
     r_cap = BoundReport.compare("elliptical-inverse-norm-cap",
@@ -290,6 +401,14 @@ def check_elliptical_omega(m, spec, U1, U2):
                                omega_hat, inv_zz_hat / lam_min,
                                3.0 * (se_om + se_zz / lam_min))
     return r_cap, r_lo, r_hi
+
+
+def check_elliptical_omega(m, spec, U1, U2):
+    """Inverse squared norm of the factor coordinates under draws from the
+    scale mixture spec, against the mixing-mean cap, plus the eigenvalue
+    sandwich tying it to the curvature moment. Three reports."""
+    cap = _elliptical_cap(m, spec)
+    return _elliptical_reports(m, cap, *_reduce(_elliptical_terms(_Draws(m, U1, U2))))
 
 
 def identity_instance(k=3):
@@ -331,25 +450,38 @@ def gaussian_suite(m, label, count, seed):
     """Every Gaussian-law check on one instance, all on one draw, tagged
     with label: the h-moment caps for the inverse-square-norm and
     smooth-inverse-2 weights, the windowed cross-term bounds, and the
-    absolute cross-moment cap."""
-    U1, U2 = sample_joint_gaussian(m, count, seed)
+    absolute cross-moment cap. Each chunk of draws gives every per-draw
+    term once; for the inverse-square-norm weight eta_h and omega_h are
+    eta and omega."""
+    h_inv, h_smooth = HFunction.inverse_sq_norm(), HFunction.smooth_inverse(2.0)
+    alphas = (0.5, 1.0, 2.0)
+
+    def terms(d):
+        return (d.eta, d.eta_ddag, d.inv_sq, *_h_terms(d, h_smooth),
+                *(_window_core(d, alpha, np.less_equal) for alpha in alphas),
+                _window_core(d, 1.0, np.greater))
+
+    eta, eta_ddag, omega, eta_s, omega_s, *small, tail = _stream(
+        m, lambda size, lo: sample_joint_gaussian(m, size, seed, lo), count, terms)
     reports, moments = [], {}
-    for h, hname in ((HFunction.inverse_sq_norm(), "inverse-sq-norm"),
-                     (HFunction.smooth_inverse(2.0), "smooth-inverse-2")):
-        moments[hname] = estimate_risk_moments(m, h, U1, U2)
+    for h, hname, h_stats in ((h_inv, "inverse-sq-norm", (eta, omega)),
+                              (h_smooth, "smooth-inverse-2", (eta_s, omega_s))):
+        moments[hname] = _risk_moments(m, count, (*h_stats, eta, eta_ddag, omega))
         reports += [_tag(rep, f"{label}/{hname}")
                     for rep in check_prop_eta_omega(moments[hname], h.q0)]
-    reports += [_tag(check_born1(m, U1, U2, alpha), f"{label}/alpha={alpha:g}")
-                for alpha in (0.5, 1.0, 2.0)]
-    reports.append(_tag(check_born2(m, U1, U2, 1.0), f"{label}/alpha=1"))
+    reports += [_tag(_born1_report(m, alpha, stats, omega), f"{label}/alpha={alpha:g}")
+                for alpha, stats in zip(alphas, small)]
+    reports.append(_tag(_born2_report(m, 1.0, tail), f"{label}/alpha=1"))
     reports.append(_tag(check_corinterm(m, moments["inverse-sq-norm"]), label))
     return reports
 
 
 def elliptical_suite(m, spec, label, count, seed):
     """The elliptical caps on one draw from the scale mixture spec."""
-    U1, U2 = sample_joint_elliptical(m, spec, count, seed)
-    return [_tag(rep, label) for rep in check_elliptical_omega(m, spec, U1, U2)]
+    cap = _elliptical_cap(m, spec)
+    stats = _stream(m, lambda size, lo: sample_joint_elliptical(m, spec, size, seed, lo),
+                    count, _elliptical_terms)
+    return [_tag(rep, label) for rep in _elliptical_reports(m, cap, *stats)]
 
 
 def singular_suite(instance, label, count, seed):
@@ -357,10 +489,12 @@ def singular_suite(instance, label, count, seed):
     (model, restriction, beta_true, moments), with Lambda = A^-1 and the
     inverse-square-norm weight."""
     model, restriction, beta_true, ms = instance
-    U1, U2 = sample_joint_singular(model, restriction, beta_true, model.sigma,
-                                   count, seed)
-    return [_tag(rep, label) for rep in check_singular_omega(
-        ms, HFunction.inverse_sq_norm(), np.linalg.inv(ms.A), U1, U2)]
+    h = HFunction.inverse_sq_norm()
+    LXL = _singular_form(ms, h, np.linalg.inv(ms.A))
+    stats = _stream(ms, lambda size, lo: sample_joint_singular(
+        model, restriction, beta_true, model.sigma, size, seed, lo),
+        count, lambda d: _singular_terms(d, h, LXL))
+    return [_tag(rep, label) for rep in _singular_reports(ms, h, LXL, *stats)]
 
 
 def default_bound_suite(count=10**6, seed=DEFAULT_SEED):

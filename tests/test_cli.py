@@ -25,6 +25,24 @@ def small_config(tmp_path, **overrides):
     return path
 
 
+class TestSeed:
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_bad_seed_is_one_error(self, seed, tmp_path, capsys):
+        commands = [
+            ["verify-bounds", "--samples", "100", "--seed", seed],
+            ANALYZE_ARGS + ["--seed", seed],
+            ["simulate", "--config", str(small_config(tmp_path, seed=int(seed))),
+             "--out", str(tmp_path / "rows.csv")],
+        ]
+        for argv in commands:
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: seed must be an integer in "
+                                    f"[0, 2**64), got {seed}\n"), argv
+            assert captured.out == ""
+        assert not (tmp_path / "rows.csv").exists()
+
+
 class TestHelp:
     @pytest.mark.parametrize("cmd", [
         [], ["simulate"], ["verify-bounds"], ["analyze"], ["estimate"]])
@@ -128,7 +146,7 @@ class TestVerifyBounds:
             label = r.name.split("[")[1].split("/")[0].rstrip("]")
             assert f"[{label}] {r}" in lines
 
-    @pytest.mark.parametrize("samples", ["0", "1"])
+    @pytest.mark.parametrize("samples", ["0", "1", "-5"])
     def test_too_few_samples_is_an_error(self, samples, capsys):
         assert main(["verify-bounds", "--samples", samples]) == 2
         captured = capsys.readouterr()
@@ -147,6 +165,13 @@ class TestVerifyBounds:
 
     def test_singular_rank_out_of_range(self, capsys):
         assert main(["verify-bounds", "--singular", "9"]) == 2
+
+    @pytest.mark.parametrize("extra", [[], ["--allow-divergent"]])
+    def test_nonpositive_dimension_refused(self, extra, capsys):
+        assert main(["verify-bounds", "--k", "0"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: --k must be at least 1\n"
+        assert captured.out == ""
 
     def test_nonfinite_nu_is_an_error(self, capsys):
         assert main(["verify-bounds", "--samples", "2000",

@@ -62,6 +62,18 @@ class TestStreamAddressing:
         assert len({s1, s2, s3}) == 3
         assert _rng.spawn_seed(9, 0, 1) == s1
 
+    def test_largest_seed_is_accepted(self):
+        assert _rng.uniforms(2**64 - 1, 3, 2).shape == (3, 2)
+        _rng.spawn_seed(np.uint32(2**32 - 1), 0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "3"])
+    def test_bad_seed_is_refused(self, seed):
+        msg = r"seed must be an integer in \[0, 2\*\*64\)"
+        with pytest.raises(ValueError, match=msg):
+            _rng.uniforms(seed, 3, 2)
+        with pytest.raises(ValueError, match=msg):
+            _rng.spawn_seed(seed, 0)
+
 
 class TestEllipticalSpec:
     def test_dirac_moments(self):
@@ -180,6 +192,18 @@ class TestSampleJointSingular:
         R = rng.normal(size=(q, k))
         restriction = LinearRestriction(R, R @ beta)
         return model, restriction, beta, sigma
+
+    def test_start_offset_continues_the_stream(self):
+        # chunks the size the bound suite draws, where BLAS matmul picked a
+        # different kernel than for one draw of every row
+        model, restriction, beta, sigma = self._setup(47, q=2)
+        count, chunk = 3 * 6_400 + 17, 6_400
+        whole = np.hstack(sample_joint_singular(model, restriction, beta, sigma,
+                                                count, 48))
+        parts = [np.hstack(sample_joint_singular(model, restriction, beta, sigma,
+                                                 min(chunk, count - lo), 48, lo))
+                 for lo in range(0, count, chunk)]
+        np.testing.assert_array_equal(np.vstack(parts), whole)
 
     def test_difference_rank_is_q(self):
         model, restriction, beta, sigma = self._setup(41, q=2)

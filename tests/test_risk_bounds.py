@@ -1,5 +1,7 @@
 """Risk moments, the quadratic decomposition, and every bound check."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -30,7 +32,8 @@ from steinrule import (
     sample_joint_gaussian,
     sample_joint_singular,
 )
-from steinrule import risk_bounds
+from steinrule import _rng, risk_bounds
+from steinrule.risk_bounds import elliptical_suite, gaussian_suite, singular_suite
 
 H_INV = HFunction.inverse_sq_norm()
 
@@ -340,3 +343,121 @@ class TestDefaultSuite:
     def test_single_draw_raises(self):
         with pytest.raises(ValueError, match="at least 2 draws"):
             default_bound_suite(count=1)
+
+
+class TestRunningMerge:
+    def test_uneven_chunks_match_concatenation(self):
+        # the 1e8 row: a naive sum of squares loses every digit of its spread
+        rng = np.random.default_rng(54)
+        n = 10_007
+        terms = np.stack([rng.normal(size=n), 1e8 + rng.normal(size=n),
+                          rng.standard_cauchy(size=n) ** 2, np.zeros(n)])
+        acc = risk_bounds._Running()
+        cuts = [0, 1, 2, 1_000, 1_001, 5_000, n]
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            acc.add(terms[:, lo:hi])
+        for (mean, se), row in zip(acc.mean_se(), terms):
+            assert mean == pytest.approx(row.mean(), rel=1e-14, abs=0.0)
+            assert se == pytest.approx(row.std(ddof=1) / np.sqrt(n), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("at", [2, 7])
+    def test_infinite_term_merges_to_inf(self, at):
+        row = np.arange(10.0)
+        row[at] = np.inf
+        acc = risk_bounds._Running()
+        with np.errstate(invalid="ignore"):
+            acc.add([row[:5]])
+            acc.add([row[5:]])
+        assert acc.mean_se()[0][0] == np.inf == row.mean()
+
+
+class TestStreamedSuites:
+    SEED = 53
+
+    @staticmethod
+    def _close(streamed, one_shot):
+        assert len(streamed) == len(one_shot)
+        for s, o in zip(streamed, one_shot):
+            assert s.name.split("[")[0] == o.name.split("[")[0]
+            assert s.holds == o.holds, (str(s), str(o))
+            for field in ("lhs", "rhs", "tolerance"):
+                assert getattr(s, field) == pytest.approx(
+                    getattr(o, field), rel=1e-13, abs=0.0), (str(s), field)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {}
+
+        def recorded(name):
+            sampler = getattr(risk_bounds, name)
+
+            def wrapper(*args):
+                # every sampler ends in (count, seed, start)
+                calls.setdefault(name, []).append((args[-3], args[-1]))
+                return sampler(*args)
+            return wrapper
+
+        for name in ("sample_joint_gaussian", "sample_joint_elliptical",
+                     "sample_joint_singular"):
+            monkeypatch.setattr(risk_bounds, name, recorded(name))
+        return calls
+
+    @staticmethod
+    def _chunks(k, count):
+        chunk = _rng.chunk_rows(2 * k)
+        return [(min(chunk, count - lo), lo) for lo in range(0, count, chunk)]
+
+    def test_gaussian_matches_one_draw(self, calls):
+        m = biased_instance()
+        count = 3 * _rng.chunk_rows(2 * m.k) + 17
+        U1, U2 = sample_joint_gaussian(m, count, self.SEED)
+        one_shot = []
+        moments = {}
+        for h in (H_INV, HFunction.smooth_inverse(2.0)):
+            moments[h.kind] = estimate_risk_moments(m, h, U1, U2)
+            one_shot += check_prop_eta_omega(moments[h.kind], h.q0)
+        one_shot += [check_born1(m, U1, U2, alpha) for alpha in (0.5, 1.0, 2.0)]
+        one_shot += [check_born2(m, U1, U2, 1.0),
+                     check_corinterm(m, moments[H_INV.kind])]
+        self._close(gaussian_suite(m, "b", count, self.SEED), one_shot)
+        assert calls == {"sample_joint_gaussian": self._chunks(m.k, count)}
+        assert len(calls["sample_joint_gaussian"]) == 4
+
+    def test_elliptical_matches_one_draw(self, calls):
+        m, spec = biased_instance(), EllipticalSpec.gamma_mixture(5.0)
+        count = 3 * _rng.chunk_rows(2 * m.k) + 17
+        one_shot = check_elliptical_omega(
+            m, spec, *sample_joint_elliptical(m, spec, count, self.SEED))
+        self._close(elliptical_suite(m, spec, "e", count, self.SEED), one_shot)
+        assert calls == {"sample_joint_elliptical": self._chunks(m.k, count)}
+
+    def test_singular_matches_one_draw(self, calls):
+        instance = restricted_instance()
+        model, restriction, beta, ms = instance
+        count = 3 * _rng.chunk_rows(2 * ms.k) + 17
+        one_shot = check_singular_omega(
+            ms, H_INV, np.linalg.inv(ms.A),
+            *sample_joint_singular(model, restriction, beta, model.sigma,
+                                   count, self.SEED))
+        self._close(singular_suite(instance, "s", count, self.SEED), one_shot)
+        assert calls == {"sample_joint_singular": self._chunks(ms.k, count)}
+
+    @pytest.mark.parametrize("suite, instance", [
+        (gaussian_suite, identity_instance()),
+        (singular_suite, restricted_instance()),
+    ])
+    def test_memory_flat_in_count(self, suite, instance):
+        # one draw of 200 000 held 32 MB (Gaussian) and 125 MB (singular)
+        tracemalloc.start()
+        try:
+            suite(instance, "x", 200_000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
+
+    def test_elliptical_refuses_before_drawing(self, calls):
+        with pytest.raises(DivergentMomentError):
+            elliptical_suite(identity_instance(k=2), EllipticalSpec.dirac(),
+                             "e", 1_000, 0)
+        assert calls == {}
