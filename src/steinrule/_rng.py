@@ -20,9 +20,10 @@ STREAM_NOISE = 0
 STREAM_MIXING = 1
 
 # float64 values per array in a chunked pass (400 kB): the bound suite
-# draws chunk_rows(width) draws per chunk, the bootstrap fits
-# CHUNK_ELEMS // (n k) replicates of an n x k design per chunk, so the
-# memory of both stays flat in the draw or replicate count.
+# and the sweep cell take chunks(count, width) of draws `width` values
+# wide, the bootstrap fits CHUNK_ELEMS // (n k) replicates of an n x k
+# design per chunk, so the memory of all three stays flat in the draw or
+# replicate count.
 CHUNK_ELEMS = 512 * 25 * 4
 
 
@@ -33,6 +34,18 @@ def _block_stride(dim):
 def chunk_rows(dim):
     """Draws per chunk when one draw holds `dim` values, at least one."""
     return max(1, CHUNK_ELEMS // _block_stride(dim))
+
+
+def chunks(count, dim):
+    """(lo, hi) ranges tiling range(count) in order, for draws of `dim`
+    values: as few as chunk_rows(dim) allows, split evenly. No range holds
+    a single draw unless count is 1: a one-row batch takes BLAS's
+    matrix-vector kernel and its bits differ from the same row in a
+    larger batch. So a range exceeds chunk_rows(dim) only when that is
+    1 or 2 and an even split would leave a draw alone."""
+    pieces = min(-(-count // chunk_rows(dim)), max(1, count // 2))
+    for i in range(pieces):
+        yield count * i // pieces, count * (i + 1) // pieces
 
 
 def _key(seed):

@@ -134,14 +134,13 @@ def _reduce(rows):
 
 def _stream(m, sample, count, terms):
     """(mean, se) of each row of terms(_Draws) over count draws of (U1, U2),
-    taken from sample(size, start) in chunks of _rng.chunk_rows(2k) draws;
-    the samplers address draws by index, so the chunks concatenate to the
-    draws of one sample(count, 0) call."""
+    taken from sample(size, start) in _rng.chunks(count, 2k); the samplers
+    address draws by index, so the chunks concatenate to the draws of one
+    sample(count, 0) call."""
     _need_two(count)
-    chunk = _rng.chunk_rows(2 * m.k)
     acc = _Running()
-    for lo in range(0, count, chunk):
-        acc.add(terms(_Draws(m, *sample(min(chunk, count - lo), lo))))
+    for lo, hi in _rng.chunks(count, 2 * m.k):
+        acc.add(terms(_Draws(m, *sample(hi - lo, lo))))
     return acc.mean_se()
 
 

@@ -1,6 +1,6 @@
 """Monte Carlo sweeps: correlated designs with a leading intercept column,
-vectorized replication cells, and relative mean square efficiency against
-the base estimator."""
+replication cells streamed in chunks, and relative mean square efficiency
+against the base estimator."""
 
 import json
 import math
@@ -325,7 +325,9 @@ def run_sweep(config):
 
     Within a cell all estimators share the same draws; relative MSE is the
     estimator's mean squared error over the base estimator's, with a
-    delta-method standard error for the ratio.
+    delta-method standard error for the ratio. Each cell is streamed in
+    chunks of replications, so its memory holds one chunk of n-wide noise
+    plus one loss per replication and estimator.
     """
     rows = []
     for cell_id, beta_norm in enumerate(config.beta_norms):
@@ -376,8 +378,11 @@ def gamma_sweep(config):
 
 
 def _run_cell(config, cell_id, X, beta, competitor):
-    """All replications of one cell, vectorized. Returns the per-estimator
-    (name, rmse, se) triples and the realized squared bias norm."""
+    """All replications of one cell, streamed in chunks of n-wide noise
+    (_rng.chunks). Every replication's draws are addressed by index, so the
+    per-replication losses, and the ratios taken over all of them at once,
+    do not depend on the chunking. Returns the per-estimator (name, rmse,
+    se) triples and the realized squared bias norm."""
     n, k, reps = config.n, config.k, config.replications
     try:
         comp = Competitor(X.T @ X, competitor)
@@ -386,16 +391,19 @@ def _run_cell(config, cell_id, X, beta, competitor):
 
     noise_seed = _rng.spawn_seed(config.seed, cell_id, 1)
     mix_seed = _rng.spawn_seed(config.seed, cell_id, 2)
-    g = _rng.normals(noise_seed, reps, n, stream=_rng.STREAM_NOISE)
-    z = config.distribution.mixing_draws(mix_seed, reps)
-    eps = (config.sigma / np.sqrt(z))[:, None] * g
-
-    U1 = eps @ (X @ comp.G)
-    beta_hat = beta + U1
-    a_hat = plug_in_gap(eps - U1 @ X.T, n - k, comp.trace_gap)
+    XG = X @ comp.G
+    loss = np.empty((1 + len(config.estimators), reps))
+    for lo, hi in _rng.chunks(reps, n):
+        z = config.distribution.mixing_draws(mix_seed, hi - lo, start=lo)
+        eps = (config.sigma / np.sqrt(z))[:, None] * _rng.normals(
+            noise_seed, hi - lo, n, stream=_rng.STREAM_NOISE, start=lo)
+        U1 = eps @ XG
+        beta_hat = beta + U1
+        a_hat = plug_in_gap(eps - U1 @ X.T, n - k, comp.trace_gap)
+        loss[:, lo:hi] = _losses(config.estimators, beta_hat, comp.fit(beta_hat),
+                                 a_hat, beta)
     gamma = comp.bias(beta)
-    return (score(config.estimators, beta_hat, comp.fit(beta_hat), a_hat, beta),
-            float(gamma @ gamma))
+    return _relative_mse(config.estimators, loss), float(gamma @ gamma)
 
 
 def score(estimators, beta_hat, beta_tilde, a_hat, truth):
@@ -403,20 +411,34 @@ def score(estimators, beta_hat, beta_tilde, a_hat, truth):
     beta_hat and beta_tilde are (rows, k), a_hat holds the rows' plug-in
     risk gaps, and truth is what the squared losses are measured from.
     Returns (name, rmse, se) triples in estimator order."""
-    # same float path as the estimator losses below, so a zero-weight
+    return _relative_mse(estimators,
+                         _losses(estimators, beta_hat, beta_tilde, a_hat, truth))
+
+
+def _losses(estimators, beta_hat, beta_tilde, a_hat, truth):
+    """Squared loss per row, shape (1 + estimators, rows): the base fit's
+    first, then each estimator's in order."""
+    # same float path for the base and the estimators, so a zero-weight
     # control reproduces the base loss bitwise
-    base_dev = beta_hat - truth
-    base_loss = np.einsum("ij,ij->i", base_dev, base_dev)
+    out = np.empty((1 + len(estimators), beta_hat.shape[0]))
+    fits = [beta_hat] + [apply_rule(beta_hat, beta_tilde, est.h, est.multiplier(a_hat))
+                         for est in estimators]
+    for row, fitted in zip(out, fits):
+        dev = fitted - truth
+        row[:] = np.einsum("ij,ij->i", dev, dev)
+    return out
+
+
+def _relative_mse(estimators, loss):
+    """(name, rmse, se) per estimator from _losses rows: mean loss over
+    the base mean loss, with a delta-method standard error."""
+    base_loss = loss[0]
     base_mean = base_loss.mean()
     out = []
-    for est in estimators:
-        fitted = apply_rule(beta_hat, beta_tilde, est.h, est.multiplier(a_hat))
-        dev = fitted - truth
-        loss = np.einsum("ij,ij->i", dev, dev)
-        # mean loss over the base mean loss, with a delta-method SE
-        ratio = loss.mean() / base_mean
-        centered = loss - ratio * base_loss
-        se = centered.std(ddof=1) / np.sqrt(loss.shape[0]) / base_mean
+    for est, est_loss in zip(estimators, loss[1:]):
+        ratio = est_loss.mean() / base_mean
+        se = ((est_loss - ratio * base_loss).std(ddof=1)
+              / np.sqrt(est_loss.shape[0]) / base_mean)
         out.append((est.name, float(ratio), float(se)))
     return out
 

@@ -66,6 +66,23 @@ class TestStreamAddressing:
         assert _rng.uniforms(2**64 - 1, 3, 2).shape == (3, 2)
         _rng.spawn_seed(np.uint32(2**32 - 1), 0)
 
+    @pytest.mark.parametrize("rows", [1, 2, 3, 7, 100])
+    def test_chunks_tile_without_a_lone_row(self, monkeypatch, rows):
+        # one-row batches take BLAS's matrix-vector kernel, so no chunk may
+        # hold a single draw; beyond that, no chunk exceeds chunk_rows
+        monkeypatch.setattr(_rng, "CHUNK_ELEMS", rows * 8)
+        assert _rng.chunk_rows(8) == rows
+        for count in (1, 2, 3, 5, 99, 100, 101, 201, 1001):
+            spans = list(_rng.chunks(count, 8))
+            assert [lo for lo, _ in spans] == [0] + [hi for _, hi in spans[:-1]]
+            assert spans[-1][1] == count
+            sizes = [hi - lo for lo, hi in spans]
+            assert min(sizes) >= min(2, count)
+            assert max(sizes) <= max(rows, 3)
+            if rows >= 3:
+                assert len(spans) == -(-count // rows)
+        assert list(_rng.chunks(0, 8)) == []
+
     @pytest.mark.parametrize("seed", [-1, 2**64, 1.0, True, "3"])
     def test_bad_seed_is_refused(self, seed):
         msg = r"seed must be an integer in \[0, 2\*\*64\)"

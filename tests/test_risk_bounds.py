@@ -404,8 +404,7 @@ class TestStreamedSuites:
 
     @staticmethod
     def _chunks(k, count):
-        chunk = _rng.chunk_rows(2 * k)
-        return [(min(chunk, count - lo), lo) for lo in range(0, count, chunk)]
+        return [(hi - lo, lo) for lo, hi in _rng.chunks(count, 2 * k)]
 
     def test_gaussian_matches_one_draw(self, calls):
         m = biased_instance()

@@ -1,12 +1,14 @@
 """Sweep configuration, design generation, and the relative-risk engine."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from steinrule import (
     ConfigError,
+    EllipticalSpec,
     EstimatorDef,
     HFunction,
     LinearRestriction,
@@ -19,6 +21,7 @@ from steinrule import (
     run_sweep,
     spsl,
 )
+from steinrule import _rng
 
 
 def base_config(**overrides):
@@ -248,3 +251,73 @@ class TestGammaSweep:
         cfg = self._restricted_config(replications=4_000, gamma_norms=(200.0,))
         row = gamma_sweep(cfg).rows[0]
         assert row.rmse == pytest.approx(1.0, abs=max(0.01, 4 * row.rmse_se))
+
+
+class TestStreamedCell:
+    # a replication draws N = 12 noise values, so CHUNK_ELEMS = 12 * rows
+    # gives chunks of `rows` replications
+    N = 12
+    ESTIMATORS = (spsl(), EstimatorDef("s4", HFunction.smooth_inverse(4.0)),
+                  EstimatorDef("fixed", HFunction.inverse_sq_norm(), -0.05),
+                  EstimatorDef("zero", HFunction.zero()))
+
+    @classmethod
+    def _sweeps(cls, reps):
+        """Rows of one cell per competitor and error law."""
+        beta = make_beta(4, 2.0)
+        R = np.eye(2, 4)
+        common = dict(n=cls.N, k=4, sigma=0.7, rho=0.4, replications=reps,
+                      estimators=cls.ESTIMATORS)
+        rows = []
+        for seed, law in enumerate((EllipticalSpec.dirac(),
+                                    EllipticalSpec.gamma_mixture(5.0))):
+            rows += run_sweep(SimConfig(beta_norms=(3.0,), seed=31 + seed,
+                                        distribution=law, **common)).rows
+            rows += gamma_sweep(SimConfig(
+                beta_norms=(2.0,), seed=41 + seed, distribution=law,
+                competitor=LinearRestriction(R, R @ beta),
+                gamma_norms=(0.0 if seed == 0 else 1.5,), **common)).rows
+        return [vars(row) for row in rows]
+
+    @pytest.mark.parametrize("reps", [100, 985, 3001])
+    def test_rows_do_not_depend_on_the_chunking(self, monkeypatch, reps):
+        widths = []
+        normals = _rng.normals
+
+        def recorded(seed, count, dim, **kwargs):
+            if dim == self.N:
+                widths.append(count)
+            return normals(seed, count, dim, **kwargs)
+
+        monkeypatch.setattr(_rng, "normals", recorded)
+        monkeypatch.setattr(_rng, "CHUNK_ELEMS", reps * self.N)
+        whole = self._sweeps(reps)
+        assert widths == [reps] * 4
+        # at one row per chunk the cell still draws two or three: one-row
+        # batches would take BLAS's matrix-vector kernel and move the bits
+        for rows in (1, 2, 7, 100):
+            widths.clear()
+            monkeypatch.setattr(_rng, "CHUNK_ELEMS", rows * self.N)
+            assert self._sweeps(reps) == whole, rows
+            # each cell is split unless it fits one chunk, and no chunk
+            # holds a single replication
+            assert (len(widths) > 4) == (rows < reps)
+            assert sum(widths) == 4 * reps
+            assert 2 <= min(widths) and max(widths) <= max(rows, 3)
+
+    @pytest.mark.parametrize("n, reps", [(50, 100_000), (2_000, 2_000)])
+    def test_memory_flat_in_replications(self, n, reps):
+        # a cell drawn at once peaked at 170 MB (n = 50, 100 000
+        # replications) and 128 MB (a 2000-row design, 2000 replications);
+        # streamed, what grows is one loss per replication and estimator
+        cfg = SimConfig(n=n, k=6, sigma=1.0, rho=0.5, beta_norms=(1.0,),
+                        replications=reps, seed=0,
+                        distribution=EllipticalSpec.gamma_mixture(5.0),
+                        estimators=self.ESTIMATORS[:2] + self.ESTIMATORS[3:])
+        tracemalloc.start()
+        try:
+            run_sweep(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
