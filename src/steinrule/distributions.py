@@ -64,15 +64,6 @@ class EllipticalSpec:
             return 1.0
         return self.w * self.z1 + (1.0 - self.w) * self.z2
 
-    @property
-    def inv_mean(self):
-        """E[1/z]: the factor by which mixing inflates the covariance."""
-        if self.kind == DIRAC_AT_ONE:
-            return 1.0
-        if self.kind == GAMMA_MIXTURE:
-            return self.nu / (self.nu - 2.0)
-        return self.w / self.z1 + (1.0 - self.w) / self.z2
-
     def mixing_draws(self, seed, count, stream=_rng.STREAM_MIXING, start=0):
         """One mixing value per sample, one uniform consumed per draw."""
         if self.kind == DIRAC_AT_ONE:

@@ -327,7 +327,7 @@ def run_sweep(config):
     estimator's mean squared error over the base estimator's, with a
     delta-method standard error for the ratio. Each cell is streamed in
     chunks of replications, so its memory holds one chunk of n-wide noise
-    plus one loss per replication and estimator.
+    per thread plus one loss per replication and estimator.
     """
     rows = []
     for cell_id, beta_norm in enumerate(config.beta_norms):
@@ -379,10 +379,11 @@ def gamma_sweep(config):
 
 def _run_cell(config, cell_id, X, beta, competitor):
     """All replications of one cell, streamed in chunks of n-wide noise
-    (_rng.chunks). Every replication's draws are addressed by index, so the
-    per-replication losses, and the ratios taken over all of them at once,
-    do not depend on the chunking. Returns the per-estimator (name, rmse,
-    se) triples and the realized squared bias norm."""
+    run on one thread per CPU (_rng.run_chunks). Every replication's draws
+    are addressed by index, so the per-replication losses, and the ratios
+    taken over all of them at once, depend neither on the chunking nor on
+    the thread count. Returns the per-estimator (name, rmse, se) triples
+    and the realized squared bias norm."""
     n, k, reps = config.n, config.k, config.replications
     try:
         comp = Competitor(X.T @ X, competitor)
@@ -393,7 +394,8 @@ def _run_cell(config, cell_id, X, beta, competitor):
     mix_seed = _rng.spawn_seed(config.seed, cell_id, 2)
     XG = X @ comp.G
     loss = np.empty((1 + len(config.estimators), reps))
-    for lo, hi in _rng.chunks(reps, n):
+
+    def chunk(lo, hi):
         z = config.distribution.mixing_draws(mix_seed, hi - lo, start=lo)
         eps = (config.sigma / np.sqrt(z))[:, None] * _rng.normals(
             noise_seed, hi - lo, n, stream=_rng.STREAM_NOISE, start=lo)
@@ -402,6 +404,8 @@ def _run_cell(config, cell_id, X, beta, competitor):
         a_hat = plug_in_gap(eps - U1 @ X.T, n - k, comp.trace_gap)
         loss[:, lo:hi] = _losses(config.estimators, beta_hat, comp.fit(beta_hat),
                                  a_hat, beta)
+
+    _rng.run_chunks(chunk, reps, n)
     gamma = comp.bias(beta)
     return _relative_mse(config.estimators, loss), float(gamma @ gamma)
 

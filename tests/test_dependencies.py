@@ -7,16 +7,30 @@ import sys
 HEAVY = ("scipy.stats", "scipy.optimize", "scipy.integrate", "scipy.linalg")
 
 
-def test_import_loads_no_heavy_scipy_subpackage():
-    # a fresh interpreter, so modules other tests imported do not count
+def _fresh(code):
+    """Standard output of `code` run in a fresh interpreter, so modules and
+    threads other tests started do not count."""
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, steinrule; print(*sys.modules)"],
-        env=env, capture_output=True, text=True, check=True).stdout.split()
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    out = _fresh("import sys, steinrule; print(*sys.modules)").split()
     loaded = [m for m in out
               if any(m == pkg or m.startswith(pkg + ".") for pkg in HEAVY)]
     assert loaded == []
     assert "scipy.special" in out
+
+
+def test_import_starts_no_thread():
+    # the chunk runner's thread pool is made on first use. scipy already
+    # loads concurrent.futures through numpy.testing; the executor's own
+    # module must wait for the pool
+    out = _fresh("import sys, threading, steinrule; "
+                 "print(threading.active_count(), "
+                 "'concurrent.futures.thread' in sys.modules)")
+    assert out.split() == ["1", "False"]

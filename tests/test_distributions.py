@@ -4,6 +4,10 @@ Monte Carlo comparisons here use plain numpy generators as the
 independent reference, never the package's own streams.
 """
 
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -92,16 +96,112 @@ class TestStreamAddressing:
             _rng.spawn_seed(seed, 0)
 
 
+class TestRunChunks:
+    """_rng.run_chunks, with the CPU count it sizes its pool by patched in."""
+
+    @staticmethod
+    def _setup(monkeypatch, threads, rows=7):
+        monkeypatch.setattr(_rng, "_worker_count", lambda: threads)
+        monkeypatch.setattr(_rng, "CHUNK_ELEMS", rows * 8)
+        return list(_rng.chunks(100, 8))
+
+    @pytest.mark.parametrize("threads", [1, 2, 8])
+    def test_results_come_back_in_chunk_order(self, monkeypatch, threads):
+        spans = self._setup(monkeypatch, threads)
+        seen, idents = [], set()
+
+        def fn(lo, hi):
+            seen.append((lo, hi))
+            idents.add(threading.get_ident())
+            # even chunks finish late, so completion order differs
+            time.sleep(0.002 if spans.index((lo, hi)) % 2 == 0 else 0)
+            return lo, hi
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert _rng.run_chunks(fn, 100, 8) == spans
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(seen) == spans
+        # the caller takes chunks too
+        assert threading.get_ident() in idents
+        assert (len(idents) > 1) == (threads > 1)
+
+    def test_first_failure_in_chunk_order_is_raised(self, monkeypatch):
+        threads = 3
+        spans = self._setup(monkeypatch, threads)
+        events, finished = [], []
+
+        def fn(lo, hi):
+            i = spans.index((lo, hi))
+            events.append(("start", i))
+            try:
+                time.sleep(0.01)
+                if i == 3:
+                    time.sleep(0.02)
+                    events.append(("fail", i))
+                    raise ValueError("chunk 3")
+                if i == 4:
+                    events.append(("fail", i))
+                    raise KeyError("chunk 4")
+                if i == 5:
+                    time.sleep(0.1)
+                return i
+            finally:
+                finished.append(i)
+
+        with pytest.raises(ValueError, match="chunk 3"):
+            _rng.run_chunks(fn, 100, 8)
+        # chunk 4 fails first, but chunk 3 comes first in chunk order. After
+        # a failure, only a thread between chunks may still start one
+        first = events.index(("fail", 4))
+        assert sum(kind == "start" for kind, _ in events[first:]) <= threads - 1
+        # the chunks in flight finish before the failure is raised
+        assert sorted(finished) == sorted(i for kind, i in events if kind == "start")
+
+    def test_caller_errstate_reaches_the_chunks(self, monkeypatch):
+        spans = self._setup(monkeypatch, 2)
+
+        def divide(lo, hi):
+            return np.ones(hi - lo) / np.zeros(hi - lo)
+
+        with np.errstate(all="raise"):
+            assert (_rng.run_chunks(lambda lo, hi: np.geterr()["divide"], 100, 8)
+                    == ["raise"] * len(spans))
+            with pytest.raises(FloatingPointError):
+                _rng.run_chunks(divide, 100, 8)
+
+    def test_nested_call_completes(self, monkeypatch):
+        spans = self._setup(monkeypatch, 2)
+        out, pools = [], []
+        executor = _rng._executor
+        monkeypatch.setattr(_rng, "_executor",
+                            lambda threads: pools.append(threads) or executor(threads))
+
+        def outer(lo, hi):
+            time.sleep(0.005)   # so that every thread takes outer chunks
+            return sum(_rng.run_chunks(lambda a, b: b - a, 100, 8))
+
+        # nested chunks run inline, never on the pool: queued behind the
+        # pool's own threads they would never start
+        caller = threading.Thread(
+            target=lambda: out.append(_rng.run_chunks(outer, 100, 8)), daemon=True)
+        caller.start()
+        caller.join(30)
+        assert not caller.is_alive()
+        assert out == [[100] * len(spans)]
+        assert pools == [1]
+
+
 class TestEllipticalSpec:
     def test_dirac_moments(self):
         spec = EllipticalSpec.dirac()
         assert spec.first_abs_moment == 1.0
-        assert spec.inv_mean == 1.0
 
     def test_gamma_moments(self):
         spec = EllipticalSpec.gamma_mixture(5.0)
         assert spec.first_abs_moment == 1.0
-        assert spec.inv_mean == pytest.approx(5.0 / 3.0)
 
     def test_gamma_needs_nu_above_two(self):
         with pytest.raises(ValueError):
@@ -110,7 +210,6 @@ class TestEllipticalSpec:
     def test_two_point_moments(self):
         spec = EllipticalSpec.two_point(0.5, 2.0, 0.5)
         assert spec.first_abs_moment == pytest.approx(1.25)
-        assert spec.inv_mean == pytest.approx(1.25)
 
     def test_two_point_validation(self):
         with pytest.raises(ValueError):
@@ -180,11 +279,12 @@ class TestSampleJointElliptical:
         spec = EllipticalSpec.gamma_mixture(5.0)
         U1, U2 = sample_joint_elliptical(m, spec, 400_000, 39)
         n = U1.shape[0]
-        target = spec.inv_mean * m.A
+        inv_mean = 5.0 / 3.0    # E[1/z] = nu / (nu - 2)
+        target = inv_mean * m.A
         # fourth moments of a t-like law are fat; keep a wide gate
         assert np.all(np.abs(np.cov(U1.T) - target)
                       < 0.06 * np.abs(target).max() + 6 * np.sqrt(np.diag(target).max() ** 2 / n))
-        se_g = np.sqrt(spec.inv_mean * np.diag(m.Phi) / n)
+        se_g = np.sqrt(inv_mean * np.diag(m.Phi) / n)
         assert np.all(np.abs(U2.mean(axis=0) - m.gamma) < 6 * se_g)
 
     def test_two_point_mixture_has_excess_kurtosis(self):

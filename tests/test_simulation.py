@@ -1,13 +1,19 @@
 """Sweep configuration, design generation, and the relative-risk engine."""
 
 import json
+import multiprocessing
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from steinrule import (
+    Competitor,
     ConfigError,
+    DegenerateDifferenceWarning,
     EllipticalSpec,
     EstimatorDef,
     HFunction,
@@ -21,7 +27,7 @@ from steinrule import (
     run_sweep,
     spsl,
 )
-from steinrule import _rng
+from steinrule import _rng, simulation
 
 
 def base_config(**overrides):
@@ -296,20 +302,71 @@ class TestStreamedCell:
         # at one row per chunk the cell still draws two or three: one-row
         # batches would take BLAS's matrix-vector kernel and move the bits
         for rows in (1, 2, 7, 100):
-            widths.clear()
             monkeypatch.setattr(_rng, "CHUNK_ELEMS", rows * self.N)
-            assert self._sweeps(reps) == whole, rows
-            # each cell is split unless it fits one chunk, and no chunk
-            # holds a single replication
-            assert (len(widths) > 4) == (rows < reps)
-            assert sum(widths) == 4 * reps
-            assert 2 <= min(widths) and max(widths) <= max(rows, 3)
+            for threads in (1, 2):
+                widths.clear()
+                monkeypatch.setattr(_rng, "_worker_count", lambda: threads)
+                assert self._sweeps(reps) == whole, (rows, threads)
+                # each cell is split unless it fits one chunk, and no chunk
+                # holds a single replication
+                assert (len(widths) > 4) == (rows < reps)
+                assert sum(widths) == 4 * reps
+                assert 2 <= min(widths) and max(widths) <= max(rows, 3)
+
+    def test_warning_from_a_pooled_chunk_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
+        monkeypatch.setattr(_rng, "CHUNK_ELEMS", 50 * self.N)
+        # a competitor that reproduces the base leaves every difference
+        # degenerate, so every estimator warns in every chunk
+        monkeypatch.setattr(Competitor, "fit", lambda self, beta_hat: beta_hat.copy())
+        apply_rule, threads = simulation.apply_rule, set()
+
+        def recorded(*args):
+            threads.add(threading.current_thread())
+            time.sleep(0.001)   # lets the helper thread take chunks
+            return apply_rule(*args)
+
+        monkeypatch.setattr(simulation, "apply_rule", recorded)
+        cfg = SimConfig(n=self.N, k=4, sigma=0.7, rho=0.4, beta_norms=(3.0,),
+                        replications=500, seed=31, estimators=self.ESTIMATORS)
+        with pytest.warns(DegenerateDifferenceWarning) as record:
+            run_sweep(cfg)
+        assert len(threads) == 2
+        assert len(record) == len(list(_rng.chunks(500, self.N))) * len(self.ESTIMATORS)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_reproduces_the_rows(self, monkeypatch):
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
+        monkeypatch.setattr(_rng, "CHUNK_ELEMS", 50 * self.N)
+        rows = self._sweeps(500)
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(self._sweeps(500)))
+        with warnings.catch_warnings():
+            # newer Pythons warn that the parent's pool threads exist
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        try:
+            # a child that used the parent's pool would wait on threads
+            # it does not have
+            assert recv.poll(60), "the forked child sent no rows"
+            assert recv.recv() == rows
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert child.exitcode == 0
 
     @pytest.mark.parametrize("n, reps", [(50, 100_000), (2_000, 2_000)])
-    def test_memory_flat_in_replications(self, n, reps):
+    def test_memory_flat_in_replications(self, monkeypatch, n, reps):
         # a cell drawn at once peaked at 170 MB (n = 50, 100 000
         # replications) and 128 MB (a 2000-row design, 2000 replications);
-        # streamed, what grows is one loss per replication and estimator
+        # streamed, what grows is one loss per replication and estimator.
+        # A cell holds one chunk per thread, so the thread count is fixed
+        # for the bound to mean the same on every host
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
         cfg = SimConfig(n=n, k=6, sigma=1.0, rho=0.5, beta_norms=(1.0,),
                         replications=reps, seed=0,
                         distribution=EllipticalSpec.gamma_mixture(5.0),
