@@ -8,10 +8,12 @@ which `Generator.random` turns into 4 doubles, so a logical draw of
 dimension d is padded to whole ticks: stride = ceil(d / 4) * 4 uniforms.
 
 `chunks` tiles a pass into index ranges and `run_chunks` runs a function
-over them on one thread per CPU the process may use. Its numpy, scipy and
-BLAS calls release the interpreter lock, so the chunks overlap; each
-chunk's draws and arithmetic depend only on its index range, so the
-results do not depend on the thread count.
+over them on one thread per CPU the process may use; the sweep cell and
+the bound suite run their chunks this way. Its numpy, scipy and BLAS
+calls release the interpreter lock, so the chunks overlap; each chunk's
+draws and arithmetic depend only on its index range (and, in the bound
+suite, on the first chunk's means, taken before the others start), so
+the results do not depend on the thread count.
 """
 
 import contextvars
@@ -33,8 +35,8 @@ STREAM_MIXING = 1
 # and the sweep cell take chunks(count, width) of draws `width` values
 # wide, the bootstrap fits CHUNK_ELEMS // (n k) replicates of an n x k
 # design per chunk, so the memory of all three stays flat in the draw or
-# replicate count. The sweep cell runs its chunks with run_chunks, so it
-# holds one chunk per thread.
+# replicate count. The sweep cell and the bound suite run their chunks
+# with run_chunks, so they hold one chunk per thread.
 CHUNK_ELEMS = 512 * 25 * 4
 
 # run_chunks' helper threads, (threads, executor), made on first use so

@@ -17,6 +17,7 @@ from .analysis import (
 )
 from .distributions import EllipticalSpec
 from .risk_bounds import (
+    RESTRICTED_ROWS,
     biased_instance,
     check_courant,
     elliptical_suite,
@@ -108,9 +109,17 @@ def cmd_verify_bounds(args):
         print("k <= 2 makes the inverse moments divergent; "
               "pass --allow-divergent to proceed", file=sys.stderr)
         return 2
-    if args.singular is not None and not 1 <= args.singular <= args.k:
-        print(f"error: --singular must lie in 1..{args.k}", file=sys.stderr)
-        return 2
+    restricted = None
+    if args.singular is not None:
+        if not 1 <= args.singular <= args.k:
+            print(f"error: --singular must lie in 1..{args.k}", file=sys.stderr)
+            return 2
+        if args.k >= RESTRICTED_ROWS:
+            print(f"error: --singular needs --k below {RESTRICTED_ROWS}, "
+                  f"the restricted instance's row count", file=sys.stderr)
+            return 2
+        # built before any suite draws, so a refusal draws nothing
+        restricted = restricted_instance(k=args.k, q=args.singular)
     count, seed = args.samples, args.seed
     sections = [(label, gaussian_suite(m, label, count, seed))
                 for label, m in (("identity", identity_instance(args.k)),
@@ -120,10 +129,9 @@ def cmd_verify_bounds(args):
         sections.append(("elliptical", elliptical_suite(
             biased_instance(args.k), spec, f"biased/gamma-nu{args.elliptical:g}",
             count, seed)))
-    if args.singular is not None:
-        instance = restricted_instance(k=args.k, q=args.singular)
+    if restricted is not None:
         sections.append(("singular", singular_suite(
-            instance, f"restricted-q{args.singular}", count, seed)))
+            restricted, f"restricted-q{args.singular}", count, seed)))
     # fixed nonsymmetric matrix with mixed-sign entries
     courant_matrix = np.arange(1.0, 1.0 + args.k * args.k).reshape(args.k, args.k)
     courant_matrix[0, -1] *= -1.0

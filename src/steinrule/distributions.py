@@ -114,17 +114,19 @@ def sample_joint_elliptical(m, spec, count, seed, start=0):
 
 
 def sample_joint_singular(model, restriction, beta_true, sigma, count, seed, start=0):
-    """Simulate (U1, U2) for the restricted competitor directly from
-    regression noise, so the difference lives in the q-dimensional range
-    of the constraint map by construction.
+    """Simulate (U1, U2) for the restricted competitor: the base error
+    U1 = sigma z chol(G)' ~ N(0, sigma^2 G) from k normals, G = (X'X)^-1,
+    and U2 the restricted refit of beta_true + U1, minus beta_true. This
+    is the law of refitting y = X beta_true + noise for Gaussian noise,
+    and the difference lives in the q-dimensional range of the
+    constraint map by construction.
 
-    The n-wide noise is mapped by einsum, not matmul: BLAS picks its
-    kernel by the row count, so a matmul row's bits would depend on the
-    batch it is drawn in."""
+    U1 is mapped by einsum, not matmul: BLAS picks its kernel by the row
+    count, so a matmul row's bits would depend on the batch it is drawn
+    in."""
     comp = Competitor(model.X.T @ model.X, restriction)
-    eps = sigma * _rng.normals(seed, count, model.n, stream=_rng.STREAM_NOISE,
-                               start=start)
-    U1 = np.einsum("ij,jk->ik", eps, model.X @ comp.G)
+    z = _rng.normals(seed, count, model.k, stream=_rng.STREAM_NOISE, start=start)
+    U1 = sigma * np.einsum("ij,kj->ik", z, np.linalg.cholesky(comp.G))
     return U1, comp.fit(beta_true + U1) - beta_true
 
 

@@ -103,14 +103,23 @@ class _Running:
         self.parts = []    # (chunks, (n, mean, m2)), chunks halving down
 
     def add(self, rows):
-        terms = np.stack(rows)
         if not self.parts:
-            first = terms.mean(axis=1)
+            first = np.stack(rows).mean(axis=1)
             self.shift = np.where(np.isfinite(first), first, 0.0)
+        self.add_part(self.part(rows))
+
+    def part(self, rows):
+        """(n, mean, m2) of one chunk about the shift, which the first
+        chunk set; safe to call from several threads at once."""
+        terms = np.stack(rows)
         terms -= self.shift[:, None]
         mean = terms.mean(axis=1)
         terms -= mean[:, None]
-        chunks, part = 1, (terms.shape[1], mean, (terms * terms).sum(axis=1))
+        return terms.shape[1], mean, (terms * terms).sum(axis=1)
+
+    def add_part(self, part):
+        """Merge the next chunk's part, in chunk order."""
+        chunks = 1
         while self.parts and self.parts[-1][0] == chunks:
             part = _merge(self.parts.pop()[1], part)
             chunks *= 2
@@ -136,11 +145,24 @@ def _stream(m, sample, count, terms):
     """(mean, se) of each row of terms(_Draws) over count draws of (U1, U2),
     taken from sample(size, start) in _rng.chunks(count, 2k); the samplers
     address draws by index, so the chunks concatenate to the draws of one
-    sample(count, 0) call."""
+    sample(count, 0) call.
+
+    The first chunk is reduced on the calling thread and sets the shift;
+    the others are reduced by _rng.run_chunks, one thread per CPU, and
+    merged in chunk order, so the result does not depend on the thread
+    count."""
     _need_two(count)
     acc = _Running()
-    for lo, hi in _rng.chunks(count, 2 * m.k):
-        acc.add(terms(_Draws(m, *sample(hi - lo, lo))))
+
+    def rows(lo, hi):
+        return terms(_Draws(m, *sample(hi - lo, lo)))
+
+    first = next(_rng.chunks(count, 2 * m.k))
+    acc.add(rows(*first))
+    parts = _rng.run_chunks(lambda lo, hi: None if lo == 0 else acc.part(rows(lo, hi)),
+                            count, 2 * m.k)
+    for part in parts[1:]:
+        acc.add_part(part)
     return acc.mean_se()
 
 
@@ -424,7 +446,10 @@ def biased_instance(k=3, gamma_norm=1.0):
     return JointMoments.from_covariances(gamma, eye, np.zeros((k, k)), eye)
 
 
-def restricted_instance(n=25, k=4, q=3, sigma=1.0, seed=7):
+RESTRICTED_ROWS = 25
+
+
+def restricted_instance(n=RESTRICTED_ROWS, k=4, q=3, sigma=1.0, seed=7):
     """A fixed design with intercept plus a rank-q restriction satisfied by
     the truth, so the competitor is unbiased and the factor is singular.
 

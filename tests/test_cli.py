@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from steinrule import cli
 from steinrule.cli import main
 from steinrule.risk_bounds import default_bound_suite
 
@@ -165,6 +166,16 @@ class TestVerifyBounds:
 
     def test_singular_rank_out_of_range(self, capsys):
         assert main(["verify-bounds", "--singular", "9"]) == 2
+
+    def test_singular_with_too_many_coefficients_refused(self, capsys, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew before refusing")
+        monkeypatch.setattr(cli, "gaussian_suite", no_draws)
+        assert main(["verify-bounds", "--k", "25", "--singular", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: --singular needs --k below 25, "
+                                "the restricted instance's row count\n")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("extra", [[], ["--allow-divergent"]])
     def test_nonpositive_dimension_refused(self, extra, capsys):

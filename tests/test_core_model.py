@@ -423,16 +423,17 @@ class TestCompetitor:
         np.testing.assert_array_equal(comp.fit(beta_hat[None, :])[0], fitted)
 
     def test_singular_draws_are_restricted_refits(self):
-        # each sampled row is the restricted fit on y = X beta + eps, minus beta
+        # U1 is sigma z chol(G)' from k normals, and each U2 row is the
+        # restricted fit on y = X (beta + U1), minus beta
         sigma = 0.8
         model, beta = random_model(20, 4, sigma, 500)
         restriction = LinearRestriction(np.eye(2, 4), [0.5, -1.0])
         U1, U2 = sample_joint_singular(model, restriction, beta, sigma, 5, 31)
-        eps = sigma * _rng.normals(31, 5, 20, stream=_rng.STREAM_NOISE)
+        z = _rng.normals(31, 5, 4, stream=_rng.STREAM_NOISE)
+        root = np.linalg.cholesky(np.linalg.inv(model.X.T @ model.X))
+        np.testing.assert_allclose(U1, sigma * z @ root.T, rtol=0, atol=1e-12)
         for i in range(5):
-            refit = LinearModel(model.X, model.X @ beta + eps[i], sigma)
-            np.testing.assert_allclose(U1[i], fit_ols(refit) - beta,
-                                       rtol=0, atol=1e-12)
+            refit = LinearModel(model.X, model.X @ (beta + U1[i]), sigma)
             np.testing.assert_allclose(
                 U2[i], fit_restricted(refit, restriction) - beta,
                 rtol=0, atol=1e-12)

@@ -322,6 +322,14 @@ class TestSampleJointSingular:
                  for lo in range(0, count, chunk)]
         np.testing.assert_array_equal(np.vstack(parts), whole)
 
+    def test_base_error_rows_do_not_depend_on_the_batch(self):
+        # one-row batches too, where BLAS matmul takes its matrix-vector kernel
+        model, restriction, beta, sigma = self._setup(47, q=2)
+        whole = sample_joint_singular(model, restriction, beta, sigma, 200, 48)[0]
+        rows = [sample_joint_singular(model, restriction, beta, sigma, 1, 48, i)[0]
+                for i in range(200)]
+        np.testing.assert_array_equal(np.vstack(rows), whole)
+
     def test_difference_rank_is_q(self):
         model, restriction, beta, sigma = self._setup(41, q=2)
         U1, U2 = sample_joint_singular(model, restriction, beta, sigma, 100_000, 42)

@@ -1,6 +1,9 @@
 """Risk moments, the quadratic decomposition, and every bound check."""
 
+import multiprocessing
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -386,6 +389,8 @@ class TestStreamedSuites:
 
     @pytest.fixture
     def calls(self, monkeypatch):
+        # one thread, so the calls come in chunk order
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 1)
         calls = {}
 
         def recorded(name):
@@ -445,8 +450,10 @@ class TestStreamedSuites:
         (gaussian_suite, identity_instance()),
         (singular_suite, restricted_instance()),
     ])
-    def test_memory_flat_in_count(self, suite, instance):
-        # one draw of 200 000 held 32 MB (Gaussian) and 125 MB (singular)
+    def test_memory_flat_in_count(self, suite, instance, monkeypatch):
+        # one draw of 200 000 held 32 MB (Gaussian) and 125 MB (singular);
+        # a suite holds one chunk per thread
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
             suite(instance, "x", 200_000, 0)
@@ -454,6 +461,52 @@ class TestStreamedSuites:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
+
+    @staticmethod
+    def _bits(reports):
+        return [(r.name, r.holds) + tuple(float(getattr(r, f)).hex() for f in
+                                          ("lhs", "rhs", "slack", "tolerance"))
+                for r in reports]
+
+    def test_suite_does_not_depend_on_the_thread_count(self, monkeypatch):
+        count = 3 * _rng.chunk_rows(6) + 17
+        runs = []
+        interval = sys.getswitchinterval()
+        try:
+            for threads in (1, 2, 8):
+                monkeypatch.setattr(_rng, "_worker_count", lambda: threads)
+                # more threads than CPUs, switching often
+                sys.setswitchinterval(1e-6 if threads == 8 else interval)
+                runs.append(self._bits(default_bound_suite(count=count, seed=0)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_reproduces_the_reports(self, monkeypatch):
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
+        count = 3 * _rng.chunk_rows(6) + 17
+        reports = self._bits(default_bound_suite(count=count, seed=0))
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(
+            self._bits(default_bound_suite(count=count, seed=0))))
+        with warnings.catch_warnings():
+            # newer Pythons warn that the parent's pool threads exist
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        try:
+            # a child that used the parent's pool would wait on threads
+            # it does not have
+            assert recv.poll(60), "the forked child sent no reports"
+            assert recv.recv() == reports
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert child.exitcode == 0
 
     def test_elliptical_refuses_before_drawing(self, calls):
         with pytest.raises(DivergentMomentError):
