@@ -13,7 +13,9 @@ the bound suite run their chunks this way. Its numpy, scipy and BLAS
 calls release the interpreter lock, so the chunks overlap; each chunk's
 draws and arithmetic depend only on its index range (and, in the bound
 suite, on the first chunk's means, taken before the others start), so
-the results do not depend on the thread count.
+the results do not depend on the thread count. A bound-suite pass tiles
+all its sections with one set of chunks, and each chunk draws its
+standard normals once for all the sections that share them.
 """
 
 import contextvars
@@ -31,8 +33,8 @@ _U_FLOOR = 2.0 ** -53
 STREAM_NOISE = 0
 STREAM_MIXING = 1
 
-# float64 values per array in a chunked pass (400 kB): the bound suite
-# and the sweep cell take chunks(count, width) of draws `width` values
+# float64 values per array in a chunked pass (400 kB): the bound-suite
+# pass and the sweep cell take chunks(count, width) of draws `width` values
 # wide, the bootstrap fits CHUNK_ELEMS // (n k) replicates of an n x k
 # design per chunk, so the memory of all three stays flat in the draw or
 # replicate count. The sweep cell and the bound suite run their chunks

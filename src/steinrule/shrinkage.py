@@ -5,7 +5,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -13,7 +13,6 @@ INVERSE_SQ_NORM = "inverse-sq-norm"
 SMOOTH_INVERSE = "smooth-inverse"
 ZERO = "zero"
 ONE = "one"
-CUSTOM = "custom"
 
 # differences with norm under this count as "base equals competitor"
 DEGENERATE_NORM = 1e-14
@@ -32,15 +31,13 @@ class HFunction:
     """Weight function h applied to the pair (base, competitor).
 
     q0 is the constant with |h(x, y)| * ||x - y||^2 <= q0 over all pairs;
-    the bound checks need it. Weights that look only at x - y are marked
-    depends_only_on_difference, which the singular-case theory requires.
+    the bound checks need it. Every weight looks only at x - y, as the
+    singular-case theory requires.
     """
 
     kind: str
     q0: float
-    depends_only_on_difference: bool = True
     p: Optional[float] = None
-    fn: Optional[Callable] = None
 
     @classmethod
     def inverse_sq_norm(cls):
@@ -67,20 +64,16 @@ class HFunction:
         """
         return cls(ONE, q0=np.inf)
 
-    @classmethod
-    def custom(cls, fn, q0, depends_only_on_difference=True):
-        return cls(CUSTOM, q0=float(q0),
-                   depends_only_on_difference=depends_only_on_difference, fn=fn)
-
     def values(self, beta_hat, beta_tilde):
         """Evaluate on rows of estimate pairs; returns one weight per row."""
         beta_hat = np.atleast_2d(np.asarray(beta_hat, dtype=float))
         beta_tilde = np.atleast_2d(np.asarray(beta_tilde, dtype=float))
         diff = beta_hat - beta_tilde
         sq = np.einsum("ij,ij->i", diff, diff)
-        return self._values_from(beta_hat, beta_tilde, sq)
+        return self._values_from(sq)
 
-    def _values_from(self, beta_hat, beta_tilde, sq_norms):
+    def _values_from(self, sq_norms):
+        """One weight per squared norm of x - y."""
         if self.kind == ZERO:
             return np.zeros_like(sq_norms)
         if self.kind == ONE:
@@ -88,10 +81,7 @@ class HFunction:
         if self.kind == INVERSE_SQ_NORM:
             with np.errstate(divide="ignore"):
                 return 1.0 / sq_norms
-        if self.kind == SMOOTH_INVERSE:
-            return 1.0 / (1.0 + sq_norms ** (self.p / 2.0))
-        return np.array([self.fn(x, y) for x, y in zip(beta_hat, beta_tilde)],
-                        dtype=float)
+        return 1.0 / (1.0 + sq_norms ** (self.p / 2.0))
 
     def __call__(self, x, y):
         return float(self.values(np.asarray(x)[None, :], np.asarray(y)[None, :])[0])
@@ -144,7 +134,7 @@ def apply_rule(beta_hat, beta_tilde, h, c):
     beta_tilde = np.atleast_2d(np.asarray(beta_tilde, dtype=float))
     diff = beta_hat - beta_tilde
     sq = np.einsum("ij,ij->i", diff, diff)
-    hv = h._values_from(beta_hat, beta_tilde, sq)
+    hv = h._values_from(sq)
     degen = sq < DEGENERATE_NORM**2
     if degen.any():
         warnings.warn(

@@ -25,7 +25,6 @@ from .distributions import (
     EllipticalSpec,
 )
 from .shrinkage import (
-    CUSTOM,
     INVERSE_SQ_NORM,
     ONE,
     SMOOTH_INVERSE,
@@ -230,8 +229,6 @@ def _h_from_json(obj):
 def _h_to_json(h):
     if h.kind == SMOOTH_INVERSE:
         return {"kind": h.kind, "p": h.p}
-    if h.kind == CUSTOM:
-        return {"kind": h.kind}
     return h.kind
 
 

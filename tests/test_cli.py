@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from steinrule import cli
+from steinrule import _rng
 from steinrule.cli import main
 from steinrule.risk_bounds import default_bound_suite
 
@@ -167,15 +167,40 @@ class TestVerifyBounds:
     def test_singular_rank_out_of_range(self, capsys):
         assert main(["verify-bounds", "--singular", "9"]) == 2
 
+    @staticmethod
+    def _record_normals(monkeypatch):
+        calls = []
+        normals = _rng.normals
+
+        def recorded(*args, **kwargs):
+            calls.append(args)
+            return normals(*args, **kwargs)
+        monkeypatch.setattr(_rng, "normals", recorded)
+        return calls
+
     def test_singular_with_too_many_coefficients_refused(self, capsys, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("drew before refusing")
-        monkeypatch.setattr(cli, "gaussian_suite", no_draws)
+        drawn = self._record_normals(monkeypatch)
         assert main(["verify-bounds", "--k", "25", "--singular", "3"]) == 2
         captured = capsys.readouterr()
         assert captured.err == ("error: --singular needs --k below 25, "
                                 "the restricted instance's row count\n")
         assert captured.out == ""
+        assert drawn == []
+
+    @pytest.mark.parametrize("extra, message", [
+        (["--elliptical", "2"], "gamma mixing needs a finite nu > 2, got 2.0"),
+        (["--elliptical", "nan"], "gamma mixing needs a finite nu > 2, got nan"),
+        (["--k", "2", "--allow-divergent", "--elliptical", "5"],
+         "inverse norm moment needs factor dimension >= 3, got q=2"),
+    ])
+    def test_elliptical_refused_before_drawing(self, extra, message, capsys,
+                                               monkeypatch):
+        drawn = self._record_normals(monkeypatch)
+        assert main(["verify-bounds", "--samples", "2000000"] + extra) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert drawn == []
 
     @pytest.mark.parametrize("extra", [[], ["--allow-divergent"]])
     def test_nonpositive_dimension_refused(self, extra, capsys):

@@ -36,7 +36,7 @@ from steinrule import (
     sample_joint_singular,
 )
 from steinrule import _rng, risk_bounds
-from steinrule.risk_bounds import elliptical_suite, gaussian_suite, singular_suite
+from steinrule.risk_bounds import _stream, elliptical_suite, gaussian_suite, singular_suite
 
 H_INV = HFunction.inverse_sq_norm()
 
@@ -325,23 +325,32 @@ class TestDefaultSuite:
                          "elliptical-inverse-norm-cap", "singular-omega-cap"}
 
     def test_draws_each_instance_once(self, monkeypatch):
-        calls = {}
+        # one chunk: the Gaussian and elliptical sections share one 6-wide
+        # normal draw; the singular instance draws its own 4-wide one
+        calls, normals = [], _rng.normals
+
+        def recorded(seed, count, dim, **kwargs):
+            calls.append((seed, count, dim))
+            return normals(seed, count, dim, **kwargs)
+
+        samplers = {}
 
         def counted(name):
             sampler = getattr(risk_bounds, name)
 
             def wrapper(*args):
-                calls[name] = calls.get(name, 0) + 1
+                samplers[name] = samplers.get(name, 0) + 1
                 return sampler(*args)
             return wrapper
 
+        monkeypatch.setattr(_rng, "normals", recorded)
         for name in ("sample_joint_gaussian", "sample_joint_elliptical",
                      "sample_joint_singular"):
             monkeypatch.setattr(risk_bounds, name, counted(name))
         default_bound_suite(count=2_000, seed=52)
-        assert calls == {"sample_joint_gaussian": 2,
-                         "sample_joint_elliptical": 2,
-                         "sample_joint_singular": 1}
+        # seed 7 is the restricted instance's design
+        assert sorted(calls) == [(7, 25, 3), (52, 2_000, 4), (52, 2_000, 6)]
+        assert samplers == {"sample_joint_singular": 1}
 
     def test_single_draw_raises(self):
         with pytest.raises(ValueError, match="at least 2 draws"):
@@ -388,30 +397,27 @@ class TestStreamedSuites:
                     getattr(o, field), rel=1e-13, abs=0.0), (str(s), field)
 
     @pytest.fixture
-    def calls(self, monkeypatch):
-        # one thread, so the calls come in chunk order
+    def record(self, monkeypatch):
+        """Starts recording the (dim, count, start) of each _rng.normals
+        call of the given seed; one thread, so they come in chunk order."""
         monkeypatch.setattr(_rng, "_worker_count", lambda: 1)
-        calls = {}
 
-        def recorded(name):
-            sampler = getattr(risk_bounds, name)
+        def start(seed):
+            calls, normals = [], _rng.normals
 
-            def wrapper(*args):
-                # every sampler ends in (count, seed, start)
-                calls.setdefault(name, []).append((args[-3], args[-1]))
-                return sampler(*args)
-            return wrapper
-
-        for name in ("sample_joint_gaussian", "sample_joint_elliptical",
-                     "sample_joint_singular"):
-            monkeypatch.setattr(risk_bounds, name, recorded(name))
-        return calls
+            def recorded(s, count, dim, stream=0, start=0):
+                if s == seed:
+                    calls.append((dim, count, start))
+                return normals(s, count, dim, stream=stream, start=start)
+            monkeypatch.setattr(_rng, "normals", recorded)
+            return calls
+        return start
 
     @staticmethod
-    def _chunks(k, count):
-        return [(hi - lo, lo) for lo, hi in _rng.chunks(count, 2 * k)]
+    def _chunks(dim, k, count):
+        return [(dim, hi - lo, lo) for lo, hi in _rng.chunks(count, 2 * k)]
 
-    def test_gaussian_matches_one_draw(self, calls):
+    def test_gaussian_matches_one_draw(self, record):
         m = biased_instance()
         count = 3 * _rng.chunk_rows(2 * m.k) + 17
         U1, U2 = sample_joint_gaussian(m, count, self.SEED)
@@ -423,19 +429,21 @@ class TestStreamedSuites:
         one_shot += [check_born1(m, U1, U2, alpha) for alpha in (0.5, 1.0, 2.0)]
         one_shot += [check_born2(m, U1, U2, 1.0),
                      check_corinterm(m, moments[H_INV.kind])]
-        self._close(gaussian_suite(m, "b", count, self.SEED), one_shot)
-        assert calls == {"sample_joint_gaussian": self._chunks(m.k, count)}
-        assert len(calls["sample_joint_gaussian"]) == 4
+        calls = record(self.SEED)
+        self._close(_stream([gaussian_suite(m, "b", self.SEED)], count)[0], one_shot)
+        assert calls == self._chunks(2 * m.k, m.k, count)
+        assert len(calls) == 4
 
-    def test_elliptical_matches_one_draw(self, calls):
+    def test_elliptical_matches_one_draw(self, record):
         m, spec = biased_instance(), EllipticalSpec.gamma_mixture(5.0)
         count = 3 * _rng.chunk_rows(2 * m.k) + 17
         one_shot = check_elliptical_omega(
             m, spec, *sample_joint_elliptical(m, spec, count, self.SEED))
-        self._close(elliptical_suite(m, spec, "e", count, self.SEED), one_shot)
-        assert calls == {"sample_joint_elliptical": self._chunks(m.k, count)}
+        calls = record(self.SEED)
+        self._close(_stream([elliptical_suite(m, spec, "e", self.SEED)], count)[0], one_shot)
+        assert calls == self._chunks(2 * m.k, m.k, count)
 
-    def test_singular_matches_one_draw(self, calls):
+    def test_singular_matches_one_draw(self, record):
         instance = restricted_instance()
         model, restriction, beta, ms = instance
         count = 3 * _rng.chunk_rows(2 * ms.k) + 17
@@ -443,8 +451,36 @@ class TestStreamedSuites:
             ms, H_INV, np.linalg.inv(ms.A),
             *sample_joint_singular(model, restriction, beta, model.sigma,
                                    count, self.SEED))
-        self._close(singular_suite(instance, "s", count, self.SEED), one_shot)
-        assert calls == {"sample_joint_singular": self._chunks(ms.k, count)}
+        calls = record(self.SEED)
+        self._close(_stream([singular_suite(instance, "s", self.SEED)], count)[0], one_shot)
+        assert calls == self._chunks(ms.k, ms.k, count)
+
+    def test_default_suite_draws_the_normals_once_per_chunk(self, record):
+        count = 3 * _rng.chunk_rows(6) + 17
+        calls = record(0)
+        default_bound_suite(count=count, seed=0)
+        # 4 chunks; the 4 Gaussian and elliptical sections share each
+        # chunk's 6-wide draw, the singular instance draws 4 wide
+        assert [c for c in calls if c[0] == 6] == self._chunks(6, 3, count)
+        assert len([c for c in calls if c[0] == 6]) == 4
+        assert [c for c in calls if c[0] == 4] == self._chunks(4, 4, count)
+        assert len(calls) == 8
+
+    def test_default_suite_matches_each_section_alone(self):
+        count = 3 * _rng.chunk_rows(6) + 17
+        biased = biased_instance()
+        sections = [gaussian_suite(identity_instance(), "identity", 0),
+                    gaussian_suite(biased, "biased", 0),
+                    elliptical_suite(biased, EllipticalSpec.dirac(), "biased/dirac", 0),
+                    elliptical_suite(biased, EllipticalSpec.gamma_mixture(5.0),
+                                     "biased/gamma-nu5", 0),
+                    singular_suite(restricted_instance(), "restricted-q3", 0)]
+        alone = [_stream([s], count)[0] for s in sections]
+        flat = [r for reports in alone for r in reports]
+        assert self._bits(default_bound_suite(count=count, seed=0)) == self._bits(flat)
+        # a scaled section ahead of the unscaled ones leaves their normals as drawn
+        together = _stream(sections[::-1], count)[::-1]
+        assert [self._bits(r) for r in together] == [self._bits(r) for r in alone]
 
     @pytest.mark.parametrize("suite, instance", [
         (gaussian_suite, identity_instance()),
@@ -456,7 +492,7 @@ class TestStreamedSuites:
         monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
-            suite(instance, "x", 200_000, 0)
+            _stream([suite(instance, "x", 0)], 200_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -508,8 +544,17 @@ class TestStreamedSuites:
                 child.join(10)
         assert child.exitcode == 0
 
-    def test_elliptical_refuses_before_drawing(self, calls):
+    def test_sections_with_unequal_chunks_refused(self, record):
+        # k = 3 and k = 5 pad to strides 8 and 12, so their chunks differ
+        calls = record(0)
+        sections = [gaussian_suite(identity_instance(3), "a", 0),
+                    gaussian_suite(identity_instance(5), "b", 0)]
+        with pytest.raises(ValueError, match="equal chunk ranges"):
+            _stream(sections, 100_000)
+        assert calls == []
+
+    def test_elliptical_refuses_before_drawing(self, record):
+        calls = record(0)
         with pytest.raises(DivergentMomentError):
-            elliptical_suite(identity_instance(k=2), EllipticalSpec.dirac(),
-                             "e", 1_000, 0)
-        assert calls == {}
+            elliptical_suite(identity_instance(k=2), EllipticalSpec.dirac(), "e", 0)
+        assert calls == []

@@ -42,11 +42,6 @@ class TestHFunction:
         assert HFunction.zero().q0 == 0.0
         assert np.isinf(HFunction.one().q0)
 
-    def test_custom_wraps_callable(self):
-        h = HFunction.custom(lambda a, b: float(a[0] - b[0]), q0=2.0)
-        assert h(np.array([3.0]), np.array([1.0])) == 2.0
-        assert h.q0 == 2.0
-
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=(10, 3))

@@ -199,12 +199,13 @@ class TestRunSweep:
         res = run_sweep(cfg)
         assert all(np.isfinite(r.rmse) for r in res.rows)
 
-    def test_weight_bug_is_not_a_config_error(self):
-        def broken(x, y):
+    def test_weight_bug_is_not_a_config_error(self, monkeypatch):
+        def broken(self, sq_norms):
             raise TypeError("bug in weight")
 
+        monkeypatch.setattr(HFunction, "_values_from", broken)
         cfg = base_config(estimators=(
-            EstimatorDef("broken", HFunction.custom(broken, q0=1.0), 0.5),))
+            EstimatorDef("broken", HFunction.smooth_inverse(2.0), 0.5),))
         with pytest.raises(TypeError, match="bug in weight"):
             run_sweep(cfg)
 
