@@ -8,14 +8,17 @@ which `Generator.random` turns into 4 doubles, so a logical draw of
 dimension d is padded to whole ticks: stride = ceil(d / 4) * 4 uniforms.
 
 `chunks` tiles a pass into index ranges and `run_chunks` runs a function
-over them on one thread per CPU the process may use; the sweep cell and
-the bound suite run their chunks this way. Its numpy, scipy and BLAS
-calls release the interpreter lock, so the chunks overlap; each chunk's
-draws and arithmetic depend only on its index range (and, in the bound
-suite, on the first chunk's means, taken before the others start), so
-the results do not depend on the thread count. A bound-suite pass tiles
-all its sections with one set of chunks, and each chunk draws its
-standard normals once for all the sections that share them.
+over them on one thread per CPU the process may use; the sweep cell, the
+bound suite and the bootstrap run their chunks this way. Its numpy, scipy
+and BLAS calls release the interpreter lock, so the chunks overlap; each
+chunk's draws and arithmetic depend only on its index range (and, in the
+bound suite, on the first chunk's means, taken before the others start),
+so the results do not depend on the thread count. A bound-suite pass
+tiles all its sections with one set of chunks, and each chunk draws its
+standard normals once for all the sections that share them. The
+bootstrap's redraws are numbered in replicate order across chunks, so
+the chunks only report where a redraw is due, and the calling thread
+makes the redraws after the pass.
 """
 
 import contextvars
@@ -35,10 +38,9 @@ STREAM_MIXING = 1
 
 # float64 values per array in a chunked pass (400 kB): the bound-suite
 # pass and the sweep cell take chunks(count, width) of draws `width` values
-# wide, the bootstrap fits CHUNK_ELEMS // (n k) replicates of an n x k
-# design per chunk, so the memory of all three stays flat in the draw or
-# replicate count. The sweep cell and the bound suite run their chunks
-# with run_chunks, so they hold one chunk per thread.
+# wide, the bootstrap chunks(B, n k) of n x k resampled designs, so the
+# memory of all three stays flat in the draw or replicate count. All three
+# run their chunks with run_chunks, so they hold one chunk per thread.
 CHUNK_ELEMS = 512 * 25 * 4
 
 # run_chunks' helper threads, (threads, executor), made on first use so
@@ -101,8 +103,9 @@ if hasattr(os, "register_at_fork"):
 def run_chunks(fn, count, dim):
     """[fn(lo, hi) for lo, hi in chunks(count, dim)], run by the calling
     thread and a pool of helpers, one thread per CPU this process may use.
-    Each thread takes the next chunk when it is done with its last, so at
-    most that many chunks are in flight.
+    The calling thread runs the first chunk; each thread takes the next
+    chunk when it is done with its last, so at most that many chunks are
+    in flight.
 
     Each chunk runs in a copy of the caller's context, so the caller's
     np.errstate holds in it. Once a chunk fails no further chunk starts;
@@ -120,26 +123,29 @@ def run_chunks(fn, count, dim):
     results, failures = [None] * len(spans), {}
     lock, todo = threading.Lock(), iter(range(len(spans)))
 
-    def drain():
+    def claim():
+        with lock:
+            return None if failures else next(todo, None)
+
+    def drain(i):
         _local.worker = True
         try:
-            while True:
-                with lock:
-                    i = None if failures else next(todo, None)
-                if i is None:
-                    return
+            while i is not None:
                 try:
                     results[i] = context.copy().run(fn, *spans[i])
                 except BaseException as exc:
                     with lock:
                         failures[i] = exc
+                i = claim()
         finally:
             _local.worker = False
 
+    # chunk 0 is the caller's before any helper can take it
+    first = claim()
     pool = _executor(threads - 1)
-    helpers = [pool.submit(drain) for _ in range(width - 1)]
+    helpers = [pool.submit(lambda: drain(claim())) for _ in range(width - 1)]
     try:
-        drain()
+        drain(first)
     finally:
         wait(helpers)
     if failures:

@@ -254,9 +254,13 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
 
     Replicates are drawn and fitted in stacked chunks of about 400 kB of
     design each, one SVD per chunk serving both the rank check and the
-    fit. Replicates whose resampled design loses rank are redrawn, in
-    replicate order, from a dedicated stream; more than 10 B redraws
-    aborts.
+    fit, on one thread per CPU (_rng.run_chunks). Replicates whose
+    resampled design loses rank are redrawn from a dedicated stream, in
+    replicate order: a chunk holding such replicates returns only their
+    positions, and once every chunk is done the calling thread redraws
+    them, chunk by chunk, and refits those chunks from their
+    index-addressed draws, so memory stays flat in B. More than 10 B
+    redraws aborts. The results do not depend on the thread count.
     """
     if B < 100:
         raise DataError(f"need at least 100 replications, got B={B}")
@@ -265,22 +269,33 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
         raise DataError("'ls' names the base estimator")
     X, y, full = _full_sample(data, defs)
     n, k = X.shape
-    # one stacked design or its SVD factor u holds _rng.CHUNK_ELEMS values:
-    # 512 replicates of the 25 x 4 brand design, where larger chunks were no
-    # faster, and fewer for taller designs, so memory stays flat in B and n
-    chunk = max(1, _rng.CHUNK_ELEMS // (n * k))
 
     def draw(count, stream, start):
         unif = _rng.uniforms(seed, count, n, stream=stream, start=start)
         return np.minimum((unif * n).astype(int), n - 1)
 
+    def resample(lo, hi):
+        idx = draw(hi - lo, 0, lo)
+        Xb = X[idx]
+        return idx, Xb, *np.linalg.svd(Xb, full_matrices=False)
+
+    def fit(lo, idx, Xb, u, s, vt):
+        hi = lo + len(idx)
+        beta_hat[lo:hi], beta_tilde[lo:hi], a_hat[lo:hi] = _fit_pair(
+            Xb, y[idx], u, s, vt)
+
+    def chunk(lo, hi):
+        idx, Xb, u, s, vt = resample(lo, hi)
+        deficient = np.flatnonzero(_svd_rank(s, n, k) < k)
+        if len(deficient):
+            return lo, hi, deficient
+        fit(lo, idx, Xb, u, s, vt)
+
     beta_hat, beta_tilde, a_hat = np.empty((B, k)), np.empty((B, k)), np.empty(B)
     redraws = 0
-    for lo in range(0, B, chunk):
-        idx = draw(min(chunk, B - lo), 0, lo)
-        Xb = X[idx]
-        u, s, vt = np.linalg.svd(Xb, full_matrices=False)
-        for i in np.flatnonzero(_svd_rank(s, n, k) < k):
+    for lo, hi, deficient in filter(None, _rng.run_chunks(chunk, B, n * k)):
+        idx, Xb, u, s, vt = resample(lo, hi)
+        for i in deficient:
             while True:
                 if redraws >= 10 * B:
                     raise DataError(
@@ -291,9 +306,7 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
                 rank, (u[i], s[i], vt[i]) = _design_rank(Xb[i])
                 if rank == k:
                     break
-        hi = lo + len(idx)
-        beta_hat[lo:hi], beta_tilde[lo:hi], a_hat[lo:hi] = _fit_pair(
-            Xb, y[idx], u, s, vt)
+        fit(lo, idx, Xb, u, s, vt)
 
     efficiency, spread = {}, {}
     for name, rmse, se in score(defs, beta_hat, beta_tilde, a_hat, full["ls"]):

@@ -1,8 +1,10 @@
 """CSV loading, correlation screening, and bootstrap efficiency."""
 
 import json
+import multiprocessing
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +66,18 @@ def loop_bootstrap(data, B, seed):
         beta_hat[b], beta_tilde[b], a_hat[b] = fit(X[idx], y[idx])
     reference = fit(X, y)[0]
     return score([spsl()], beta_hat, beta_tilde, a_hat, reference), redraws
+
+
+def hopeless_data(tmp_path):
+    # six dummies, each set in one of 20 rows
+    path = tmp_path / "hopeless.csv"
+    names = [f"d{j}" for j in range(6)]
+    rows = [",".join(["y", "x"] + names)] + [
+        ",".join([f"{0.3 * i + (i % 3)}", f"{i}"]
+                 + [str(int(i == j)) for j in range(6)])
+        for i in range(20)]
+    path.write_text("\n".join(rows) + "\n")
+    return load_csv(path).select("y", ["x"] + names)
 
 
 @pytest.fixture(scope="module")
@@ -277,25 +291,77 @@ class TestBootstrapEfficiency:
             assert rep.relative_efficiency[name] == ratio
             assert rep.efficiency_se[name] == se
 
+    @pytest.mark.parametrize("B, seed", [(200, 0), (5000, 1)])
+    def test_redraws_match_per_replicate_loop_on_two_threads(
+            self, monkeypatch, tmp_path, B, seed):
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
+        self.test_redraws_match_per_replicate_loop(tmp_path, B, seed)
+
+    @pytest.mark.parametrize("design", ["brands", "sparse"])
+    def test_report_does_not_depend_on_the_thread_count(
+            self, monkeypatch, tmp_path, smoke_model, design):
+        # the sparse design redraws in every chunk, and its redraws are
+        # numbered across chunks: they must still come in replicate order
+        data = smoke_model if design == "brands" else sparse_data(tmp_path)
+        monkeypatch.setattr(_rng, "CHUNK_ELEMS", 300 * data.design()[0].size)
+        reports = []
+        for threads in (1, 2, 8):
+            monkeypatch.setattr(_rng, "_worker_count", lambda: threads)
+            rep = bootstrap_efficiency(data, B=3001, seed=5)
+            reports.append((rep.to_json(), str(rep), rep.redraws))
+        assert reports == reports[:1] * 3
+        assert (reports[0][2] > 0) == (design == "sparse")
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork start method")
+    def test_forked_child_reproduces_the_report(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
+        data = sparse_data(tmp_path)
+        report = bootstrap_efficiency(data, B=5000, seed=1).to_json()
+        ctx = multiprocessing.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(
+            bootstrap_efficiency(data, B=5000, seed=1).to_json()))
+        with warnings.catch_warnings():
+            # newer Pythons warn that the parent's pool threads exist
+            warnings.simplefilter("ignore", DeprecationWarning)
+            child.start()
+        try:
+            # a child that used the parent's pool would wait on threads
+            # it does not have
+            assert recv.poll(60), "the forked child sent no report"
+            assert recv.recv() == report
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join(10)
+        assert child.exitcode == 0
+
     def test_gives_up_on_hopeless_design(self, tmp_path):
         # six dummies, each set in one of 20 rows: almost no resample keeps
         # them all, so the redraw budget of 10 B runs out
-        path = tmp_path / "hopeless.csv"
-        names = [f"d{j}" for j in range(6)]
-        rows = [",".join(["y", "x"] + names)] + [
-            ",".join([f"{0.3 * i + (i % 3)}", f"{i}"]
-                     + [str(int(i == j)) for j in range(6)])
-            for i in range(20)]
-        path.write_text("\n".join(rows) + "\n")
-        data = load_csv(path).select("y", ["x"] + names)
         with pytest.raises(
                 DataError,
                 match="^bootstrap gave up after 1000 rank-deficient redraws$"):
-            bootstrap_efficiency(data, B=100, seed=0)
+            bootstrap_efficiency(hopeless_data(tmp_path), B=100, seed=0)
 
-    def test_memory_flat_in_replications(self, smoke_model):
+    def test_gives_up_on_hopeless_design_on_two_threads(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
+        monkeypatch.setattr(_rng, "CHUNK_ELEMS", 20 * 20 * 7)
+        assert len(list(_rng.chunks(100, 20 * 7))) == 5
+        with pytest.raises(
+                DataError,
+                match="^bootstrap gave up after 1000 rank-deficient redraws$"):
+            bootstrap_efficiency(hopeless_data(tmp_path), B=100, seed=0)
+
+    def test_memory_flat_in_replications(self, monkeypatch, smoke_model):
         # replicates are fitted in chunks: a (B, n, k) stack of resampled
-        # designs alone would take 16 MB at B = 20000
+        # designs alone would take 16 MB at B = 20000. The bootstrap holds
+        # one chunk per thread, so the thread count is fixed for the bound
+        # to mean the same on every host
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
             bootstrap_efficiency(smoke_model, B=20_000, seed=0)
@@ -304,10 +370,12 @@ class TestBootstrapEfficiency:
             tracemalloc.stop()
         assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
 
-    def test_memory_flat_in_rows(self, tmp_path):
+    def test_memory_flat_in_rows(self, monkeypatch, tmp_path):
         # chunks shrink as designs grow: one chunk of all 100 replicates of
         # this 20000 x 2 design would hold 32 MB in X[idx] alone (a fixed
-        # chunk of 512 peaked at 128 MB here)
+        # chunk of 512 peaked at 128 MB here). One chunk per thread, so the
+        # thread count is fixed, as above
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
         path = tmp_path / "tall.csv"
         rows = ["y,x"] + [f"{0.3 * i + (i % 7)},{i % 101}"
                           for i in range(20_000)]
@@ -320,6 +388,26 @@ class TestBootstrapEfficiency:
         finally:
             tracemalloc.stop()
         assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
+
+    def test_memory_flat_in_replications_with_redraws(
+            self, monkeypatch, tmp_path):
+        # every chunk of the sparse design redraws, and no chunk is held
+        # until its redraws are made: what grows with B is each replicate's
+        # fits and losses (about 130 bytes here), not also its resampled
+        # design, indices and SVD (68 values; 584 bytes in all if held)
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
+        monkeypatch.setattr(_rng, "CHUNK_ELEMS", 500 * 8 * 3)
+        data = sparse_data(tmp_path)
+        peaks = []
+        for B in (2000, 6000):
+            tracemalloc.start()
+            try:
+                bootstrap_efficiency(data, B=B, seed=0)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        per_replicate = (peaks[1] - peaks[0]) / 4000
+        assert per_replicate < 32 * 8, f"{per_replicate:.0f} bytes per replicate"
 
     def test_str_report(self, smoke_model):
         text = str(bootstrap_efficiency(smoke_model, B=200, seed=0))

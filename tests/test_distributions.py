@@ -193,6 +193,35 @@ class TestRunChunks:
         assert out == [[100] * len(spans)]
         assert pools == [1]
 
+    def test_caller_runs_the_first_chunk_when_helpers_start_first(
+            self, monkeypatch):
+        # a caller descheduled just after it submits the helpers, as on a
+        # loaded machine: the helpers could drain every chunk before it
+        # looks for one, unless chunk 0 is its own before they start
+        spans = self._setup(monkeypatch, 8)
+        executor = _rng._executor
+
+        class Stalled:
+            def __init__(self, pool):
+                self._pool = pool
+
+            def submit(self, fn):
+                future = self._pool.submit(fn)
+                time.sleep(0.01)
+                return future
+
+        monkeypatch.setattr(_rng, "_executor",
+                            lambda threads: Stalled(executor(threads)))
+        owners = {}
+
+        def fn(lo, hi):
+            owners[spans.index((lo, hi))] = threading.get_ident()
+            return lo, hi
+
+        assert _rng.run_chunks(fn, 100, 8) == spans
+        assert owners[0] == threading.get_ident()
+        assert sorted(owners) == list(range(len(spans)))
+
 
 class TestEllipticalSpec:
     def test_dirac_moments(self):
