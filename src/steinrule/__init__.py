@@ -15,10 +15,7 @@ from .core_model import (
     MomentConsistencyError,
     RankDeficientError,
     RestrictionError,
-    fit_diag_competitor,
     fit_ols,
-    fit_restricted,
-    joint_moments_diag,
     joint_moments_restricted,
 )
 from .shrinkage import (

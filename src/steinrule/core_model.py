@@ -30,25 +30,19 @@ class LinearModel:
     """A regression instance y = X beta + noise.
 
     X is n x k with full column rank, y length n, sigma the noise standard
-    deviation (known, or an estimate; zero means noiseless). Pass
-    validate=False to skip the shape/rank checks, which is only useful for
-    exercising the degenerate-input errors further down the pipeline.
+    deviation (known, or an estimate; zero means noiseless). Every check
+    runs here, and the arrays are read-only afterwards, so fits of a model
+    need not check again.
     """
 
-    def __init__(self, X, y, sigma, validate=True):
+    def __init__(self, X, y, sigma):
         self.X = np.array(X, dtype=float)
         self.y = np.array(y, dtype=float)
         self.sigma = float(sigma)
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-d array")
         self.n, self.k = self.X.shape
-        if validate:
-            self._validate()
-        self.X.setflags(write=False)
-        self.y.setflags(write=False)
-
-    def _validate(self):
-        n, k = self.n, self.k
+        n, k = self.X.shape
         if not n > k >= 1:
             raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
         if self.y.shape != (n,):
@@ -57,23 +51,19 @@ class LinearModel:
             raise ValueError("X and y must be finite")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        _design_rank(self.X, raise_on_deficient=True)
+        rank = _svd_rank(np.linalg.svd(self.X, compute_uv=False), n, k)
+        if rank < k:
+            raise RankDeficientError(f"design matrix has rank {rank}, expected {k}")
+        self.X.setflags(write=False)
+        self.y.setflags(write=False)
 
 
-def _design_rank(X, raise_on_deficient=False):
-    return int(_svd_rank(np.linalg.svd(X, compute_uv=False), *X.shape,
-                         raise_on_deficient))
-
-
-def _svd_rank(s, n, k, raise_on_deficient=False):
+def _svd_rank(s, n, k):
     """Numerical rank of an n x k design, or of each in a stack, from its
     descending singular values s (..., min(n, k)): the count above
     max(n, k) * eps * s[0]."""
     tol = max(n, k) * np.finfo(float).eps * s[..., :1]
-    rank = np.sum(s > tol, axis=-1)
-    if raise_on_deficient and rank < k:
-        raise RankDeficientError(f"design matrix has rank {rank}, expected {k}")
-    return rank
+    return np.sum(s > tol, axis=-1)
 
 
 class LinearRestriction:
@@ -108,29 +98,9 @@ class JointMoments:
     factor P (k x q, Xi = P P'): R = P'P, the factor coordinates
     Z = P^- (U1 - U2) with mean mu = -P^- gamma, psi0 the smallest
     eigenvalue of R and psi1 the largest singular value of P.
-
-    Use from_covariances; the constructor stores precomputed fields.
     """
 
-    def __init__(self, gamma, A, Sigma, Phi, Xi, P, R, mu, q, psi0, psi1):
-        self.gamma = gamma
-        self.A = A
-        self.Sigma = Sigma
-        self.Phi = Phi
-        self.Xi = Xi
-        self.P = P
-        self.R = R
-        self.mu = mu
-        self.q = q
-        self.psi0 = psi0
-        self.psi1 = psi1
-        self.k = A.shape[0]
-        self._P_pinv = np.linalg.pinv(P)
-        for a in (gamma, A, Sigma, Phi, Xi, P, R, mu):
-            a.setflags(write=False)
-
-    @classmethod
-    def from_covariances(cls, gamma, A, Sigma, Phi):
+    def __init__(self, gamma, A, Sigma, Phi):
         """Build the full structure from the bias and the three blocks."""
         gamma = np.atleast_1d(np.array(gamma, dtype=float))
         A = np.array(A, dtype=float)
@@ -158,7 +128,7 @@ class JointMoments:
         if scale > 0 and w[0] > scale / 1e12:
             # nonsingular: Cholesky factor, q = k
             P = np.linalg.cholesky(Xi)
-            q = k
+            self.q = k
         else:
             # rank-revealing factor from the eigendecomposition
             vals, vecs = np.linalg.eigh(Xi)
@@ -167,15 +137,29 @@ class JointMoments:
                 raise MomentConsistencyError("difference covariance is zero")
             order = np.argsort(vals[keep])[::-1]
             P = (vecs[:, keep] * np.sqrt(vals[keep]))[:, order]
-            q = int(keep.sum())
+            self.q = int(keep.sum())
 
         R = P.T @ P
-        R = 0.5 * (R + R.T)
-        mu = -np.linalg.pinv(P) @ gamma
-        rw = np.linalg.eigvalsh(R)
-        psi0 = float(rw[0])
-        psi1 = float(np.sqrt(rw[-1]))
-        return cls(gamma, A, Sigma, Phi, Xi, P, R, mu, q, psi0, psi1)
+        self._P_pinv = np.linalg.pinv(P)
+        self.gamma = gamma
+        self.A = A
+        self.Sigma = Sigma
+        self.Phi = Phi
+        self.Xi = Xi
+        self.P = P
+        self.R = 0.5 * (R + R.T)
+        self.mu = -self._P_pinv @ gamma
+        self.k = k
+        rw = np.linalg.eigvalsh(self.R)
+        self.psi0 = float(rw[0])
+        self.psi1 = float(np.sqrt(rw[-1]))
+        for a in (gamma, A, Sigma, Phi, Xi, P, self.R, self.mu):
+            a.setflags(write=False)
+
+    @classmethod
+    def from_covariances(cls, gamma, A, Sigma, Phi):
+        """The constructor, under the name every caller in the package uses."""
+        return cls(gamma, A, Sigma, Phi)
 
     @property
     def trace_A(self):
@@ -193,9 +177,8 @@ class JointMoments:
 
 
 def fit_ols(model):
-    """Least squares fit, solved through the SVD of the design."""
+    """Least squares fit, solved through the SVD of the full-rank design."""
     u, s, vt = np.linalg.svd(model.X, full_matrices=False)
-    _svd_rank(s, model.n, model.k, raise_on_deficient=True)
     return _svd_solve(u, s, vt, model.y)
 
 
@@ -209,12 +192,6 @@ def _mv(A, v):
     """Matrix times vector over any leading stack axes. Each product is
     bitwise that of A @ v on the unstacked pair, which einsum is not."""
     return (A @ v[..., None])[..., 0]
-
-
-def fit_diag_competitor(model):
-    """Competing estimator that pretends the design columns are orthogonal:
-    D^-1 X'y with D = diag(X'X)."""
-    return Competitor(model.X.T @ model.X).fit(fit_ols(model))
 
 
 def restriction_projection(XtX, restriction):
@@ -237,12 +214,6 @@ def restriction_projection(XtX, restriction):
     except np.linalg.LinAlgError:
         raise RestrictionError("Rmat (X'X)^-1 Rmat' is singular") from None
     return GRt @ np.linalg.solve(S, np.eye(restriction.q))
-
-
-def fit_restricted(model, restriction):
-    """Least squares under the constraint Rmat @ beta = r; the output
-    satisfies the constraint exactly."""
-    return Competitor(model.X.T @ model.X, restriction).fit(fit_ols(model))
 
 
 class Competitor:
@@ -289,11 +260,6 @@ class Competitor:
         A = sig2 * 0.5 * (self.G + self.G.T)
         return JointMoments.from_covariances(self.bias(beta), A, A @ self.M.T,
                                              sig2 * self.MGM)
-
-
-def joint_moments_diag(model, beta_true):
-    """Joint moment structure when the competitor is the diagonal fit."""
-    return Competitor(model.X.T @ model.X).moments(model.sigma, beta_true)
 
 
 def joint_moments_restricted(model, restriction, beta_true):

@@ -5,7 +5,7 @@ against the base estimator."""
 import json
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
@@ -67,6 +67,10 @@ class SimConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+        try:
+            _rng._key(self.seed)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if not self.n > self.k >= 2:
             raise ConfigError(f"need n > k >= 2, got n={self.n}, k={self.k}")
         _real("sigma", self.sigma)
@@ -107,27 +111,22 @@ class SimConfig:
     def from_json(cls, doc):
         """Build from a JSON document (text or parsed dict)."""
         data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-        known = {"n", "k", "sigma", "rho", "beta_norms", "replications", "seed",
-                 "distribution", "competitor", "estimators", "gamma_norms"}
-        extra = set(data) - known
+        extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        missing = {"n", "k", "sigma", "rho", "beta_norms", "replications",
-                   "seed"} - set(data)
+        missing = {f.name for f in fields(cls) if f.default is MISSING
+                   and f.default_factory is MISSING} - set(data)
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
-        kwargs = {key: data[key] for key in
-                  ("n", "k", "sigma", "rho", "beta_norms", "replications", "seed",
-                   "gamma_norms") if key in data}
         if "distribution" in data:
-            kwargs["distribution"] = _dist_from_json(data["distribution"])
+            data["distribution"] = _dist_from_json(data["distribution"])
         if "competitor" in data:
-            kwargs["competitor"] = _competitor_from_json(data["competitor"])
+            data["competitor"] = _competitor_from_json(data["competitor"])
         if "estimators" in data:
-            kwargs["estimators"] = tuple(
+            data["estimators"] = tuple(
                 _estimator_from_json(e)
                 for e in _sequence("estimators", data["estimators"]))
-        return cls(**kwargs)
+        return cls(**data)
 
     def to_json_dict(self):
         doc = {

@@ -10,18 +10,21 @@ import numpy as np
 import pytest
 
 from steinrule import (
+    Competitor,
     DataError,
     EstimatorDef,
     HFunction,
+    LinearModel,
     UndefinedCorrelationError,
     bootstrap_efficiency,
     correlation_table,
+    fit_ols,
     load_csv,
     point_estimates,
     spsl,
 )
 from steinrule import _rng, plug_in_gap
-from steinrule.core_model import _design_rank
+from steinrule.analysis import _fit_pair
 from steinrule.simulation import score
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cigarette.csv")
@@ -60,7 +63,7 @@ def loop_bootstrap(data, B, seed):
     redraws = 0
     for b in range(B):
         idx = draw(0, b)
-        while _design_rank(X[idx]) < k:
+        while np.linalg.matrix_rank(X[idx]) < k:
             idx = draw(2, redraws)
             redraws += 1
         beta_hat[b], beta_tilde[b], a_hat[b] = fit(X[idx], y[idx])
@@ -456,3 +459,25 @@ class TestBootstrapEfficiency:
         assert rep.relative_efficiency["flat"] == 1.0
         assert rep.efficiency_se["flat"] == 0.0
         assert list(rep.relative_efficiency) == ["spsl", "flat", "ls"]
+
+
+class TestFitPair:
+    """The bootstrap's SVD form of the competitor's fit and trace gap
+    gives Competitor's numbers, on one design and on a stack."""
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_matches_competitor(self, stack):
+        rng = np.random.default_rng(41)
+        n, k = 12, 4
+        X = np.concatenate([np.ones(stack + (n, 1)),
+                            rng.normal(size=stack + (n, k - 1))], axis=-1)
+        y = rng.normal(size=stack + (n,))
+        beta_hat, beta_tilde, a_hat = _fit_pair(
+            X, y, *np.linalg.svd(X, full_matrices=False))
+        for i in np.ndindex(stack):
+            comp = Competitor(X[i].T @ X[i])
+            base = fit_ols(LinearModel(X[i], y[i], 1.0))
+            np.testing.assert_allclose(beta_hat[i], base, rtol=1e-12)
+            np.testing.assert_allclose(beta_tilde[i], comp.fit(base), rtol=1e-12)
+            expect = plug_in_gap(y[i] - X[i] @ base, n - k, comp.trace_gap)
+            assert a_hat[i] == pytest.approx(expect, rel=1e-12)

@@ -256,6 +256,24 @@ class TestAnalyze:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["inf", "nan", "-Infinity"])
+    def test_nonfinite_cell_is_refused(self, cell, tmp_path, capsys):
+        # a non-finite cell in a column the model does not use still
+        # poisons the correlation table, so the file is refused whole
+        lines = open(DATA).read().splitlines()
+        fields = lines[3].split(",")
+        fields[3] = cell
+        lines[3] = ",".join(fields)
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        code = main(["analyze", "--data", str(path), "--response", "co",
+                     "--covariates", "tar,nicotine", "--bootstrap", "200"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert (f"non-finite cell {cell!r} at row 4, column 'weight'"
+                in captured.err)
+
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["analyze", "--data", str(tmp_path / "no.csv"),
                      "--response", "co", "--covariates", "tar"])

@@ -12,12 +12,9 @@ from steinrule import (
     MomentConsistencyError,
     RankDeficientError,
     RestrictionError,
-    fit_diag_competitor,
     fit_ols,
     SimConfig,
-    fit_restricted,
     gamma_sweep,
-    joint_moments_diag,
     joint_moments_restricted,
     sample_joint_singular,
 )
@@ -76,12 +73,6 @@ class TestLinearModel:
         with pytest.raises(RankDeficientError):
             LinearModel(X, np.zeros(10), 1.0)
 
-    def test_validate_false_skips_rank_check(self):
-        col = np.ones(10)
-        X = np.column_stack([col, 2.0 * col])
-        model = LinearModel(X, np.zeros(10), 1.0, validate=False)
-        assert model.k == 2
-
 
 class TestFitOls:
     def test_matches_normal_equations(self):
@@ -102,13 +93,6 @@ class TestFitOls:
         model = LinearModel(X, X @ beta, 0.0)
         np.testing.assert_allclose(fit_ols(model), beta, atol=1e-10)
 
-    def test_rank_deficient_raises(self):
-        col = np.ones(10)
-        X = np.column_stack([col, 2.0 * col])
-        model = LinearModel(X, np.zeros(10), 1.0, validate=False)
-        with pytest.raises(RankDeficientError):
-            fit_ols(model)
-
 
 class TestFitDiagCompetitor:
     def test_matches_per_column_projections(self):
@@ -117,7 +101,8 @@ class TestFitDiagCompetitor:
         for i in range(4):
             col = model.X[:, i]
             expect[i] = (col @ model.y) / (col @ col)
-        np.testing.assert_allclose(fit_diag_competitor(model), expect, rtol=1e-12)
+        fitted = Competitor(model.X.T @ model.X).fit(fit_ols(model))
+        np.testing.assert_allclose(fitted, expect, rtol=1e-12)
 
     def test_orthogonal_columns_equal_ols(self):
         # with orthogonal columns the diagonal of X'X is all of X'X
@@ -126,17 +111,17 @@ class TestFitDiagCompetitor:
         y = np.random.default_rng(7).normal(size=15)
         model = LinearModel(X, y, 1.0)
         np.testing.assert_allclose(
-            fit_diag_competitor(model), fit_ols(model), rtol=1e-10)
+            Competitor(X.T @ X).fit(fit_ols(model)), fit_ols(model), rtol=1e-10)
 
     def test_ones_column_gets_mean(self):
         model, _ = random_model(30, 3, 1.0, 8)
-        assert fit_diag_competitor(model)[0] == pytest.approx(model.y.mean())
+        fitted = Competitor(model.X.T @ model.X).fit(fit_ols(model))
+        assert fitted[0] == pytest.approx(model.y.mean())
 
     def test_zero_column_raises(self):
         X = np.column_stack([np.ones(6), np.zeros(6)])
-        model = LinearModel(X, np.zeros(6), 1.0, validate=False)
         with pytest.raises(DegenerateColumnError):
-            fit_diag_competitor(model)
+            Competitor(X.T @ X)
 
 
 class TestLinearRestriction:
@@ -175,14 +160,15 @@ class TestFitRestricted:
         gap = beta_hat.sum() - 0.4
         expect = beta_hat - 0.5 * gap * np.array([1.0, 1.0])
         np.testing.assert_allclose(
-            fit_restricted(model, restriction), expect, rtol=1e-10)
+            Competitor(q.T @ q, restriction).fit(beta_hat), expect, rtol=1e-10)
 
     def test_constraint_holds_after_fit(self):
         for seed in range(5):
             model, _ = random_model(20, 4, 1.0, 100 + seed)
             R = np.random.default_rng(seed).normal(size=(2, 4))
             restriction = LinearRestriction(R, np.array([1.0, -0.5]))
-            fitted = fit_restricted(model, restriction)
+            comp = Competitor(model.X.T @ model.X, restriction)
+            fitted = comp.fit(fit_ols(model))
             np.testing.assert_allclose(R @ fitted, restriction.r, atol=1e-8)
 
     def test_satisfied_constraint_changes_nothing(self):
@@ -191,12 +177,14 @@ class TestFitRestricted:
         R = np.array([[1.0, 2.0, 0.0]])
         restriction = LinearRestriction(R, R @ beta_hat)
         np.testing.assert_allclose(
-            fit_restricted(model, restriction), beta_hat, atol=1e-10)
+            Competitor(model.X.T @ model.X, restriction).fit(beta_hat), beta_hat,
+            atol=1e-10)
 
     def test_dimension_mismatch_raises(self):
         model, _ = random_model(20, 3, 1.0, 12)
         with pytest.raises(RestrictionError):
-            fit_restricted(model, LinearRestriction(np.eye(2, 4), np.zeros(2)))
+            Competitor(model.X.T @ model.X,
+                       LinearRestriction(np.eye(2, 4), np.zeros(2)))
 
     def test_singular_projection_raises(self):
         # unreachable through validated inputs, so degrade the restriction
@@ -209,7 +197,7 @@ class TestFitRestricted:
                            replications=100, seed=0, competitor=restriction,
                            gamma_norms=(1.0,))
         calls = (
-            lambda: fit_restricted(model, restriction),
+            lambda: Competitor(model.X.T @ model.X, restriction),
             lambda: joint_moments_restricted(model, restriction, beta),
             lambda: sample_joint_singular(model, restriction, beta, 1.0, 10, 0),
             lambda: gamma_sweep(config),
@@ -277,7 +265,7 @@ class TestJointMomentsDiag:
         # the analytic blocks against plain-numpy refits of both estimators
         sigma = 0.5
         model, beta = random_model(15, 3, sigma, 15)
-        m = joint_moments_diag(model, beta)
+        m = Competitor(model.X.T @ model.X).moments(sigma, beta)
 
         rng = np.random.default_rng(16)
         reps = 200_000
@@ -305,14 +293,14 @@ class TestJointMomentsDiag:
 
     def test_full_rank_difference(self):
         model, beta = random_model(15, 3, 0.5, 17)
-        m = joint_moments_diag(model, beta)
+        m = Competitor(model.X.T @ model.X).moments(model.sigma, beta)
         assert m.q == 3
 
     def test_zero_sigma_is_degenerate(self):
         # no noise, no estimator difference to factor
         model, beta = random_model(15, 3, 0.0, 18)
         with pytest.raises(MomentConsistencyError):
-            joint_moments_diag(model, beta)
+            Competitor(model.X.T @ model.X).moments(model.sigma, beta)
 
 
 class TestJointMomentsRestricted:
@@ -434,6 +422,5 @@ class TestCompetitor:
         np.testing.assert_allclose(U1, sigma * z @ root.T, rtol=0, atol=1e-12)
         for i in range(5):
             refit = LinearModel(model.X, model.X @ (beta + U1[i]), sigma)
-            np.testing.assert_allclose(
-                U2[i], fit_restricted(refit, restriction) - beta,
-                rtol=0, atol=1e-12)
+            refitted = Competitor(refit.X.T @ refit.X, restriction).fit(fit_ols(refit))
+            np.testing.assert_allclose(U2[i], refitted - beta, rtol=0, atol=1e-12)

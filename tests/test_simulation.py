@@ -108,6 +108,25 @@ class TestSimConfig:
         with pytest.raises(ConfigError):
             base_config(k=4, n=25, rho=-0.6)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_the_key_range(self, seed):
+        # refused at construction, not later by the stream layer
+        with pytest.raises(ConfigError, match=r"seed must be an integer in "
+                                              r"\[0, 2\*\*64\)"):
+            base_config(seed=seed)
+
+    def test_from_json_key_messages(self):
+        doc = base_config().to_json_dict()
+        doc["typo"], doc["other"] = 1, 2
+        with pytest.raises(ConfigError,
+                           match=r"^unknown config keys: \['other', 'typo'\]$"):
+            SimConfig.from_json(doc)
+        doc = base_config().to_json_dict()
+        del doc["seed"], doc["n"], doc["estimators"]
+        with pytest.raises(ConfigError,
+                           match=r"^missing config keys: \['n', 'seed'\]$"):
+            SimConfig.from_json(doc)
+
     def test_json_round_trip(self):
         cfg = base_config(estimators=(
             spsl(), EstimatorDef("fixed", HFunction.smooth_inverse(2.0), -0.3)))
