@@ -11,17 +11,22 @@ dimension d is padded to whole ticks: stride = ceil(d / 4) * 4 uniforms.
 over them on one thread per CPU the process may use; the sweep cell, the
 bound suite and the bootstrap run their chunks this way. Its numpy, scipy
 and BLAS calls release the interpreter lock, so the chunks overlap; each
-chunk's draws and arithmetic depend only on its index range (and, in the
-bound suite, on the first chunk's means, taken before the others start),
-so the results do not depend on the thread count. A bound-suite pass
-tiles all its sections with one set of chunks, and each chunk draws its
-standard normals once for all the sections that share them. The
-bootstrap's redraws are numbered in replicate order across chunks, so
-the chunks only report where a redraw is due, and the calling thread
-makes the redraws after the pass.
+chunk's draws and arithmetic depend only on its index range, so the
+results do not depend on the thread count. A bound-suite pass tiles all
+its sections with one set of chunks, and each chunk draws its standard
+normals once for all the sections that share them. The bootstrap's
+redraws are numbered in replicate order across chunks, so the chunks
+only report where a redraw is due, and the calling thread makes the
+redraws after the pass.
+
+`moments`, `pool` and `mean_se` are the one reduction of all three
+drivers: each chunk reduces its per-draw rows to a part (count, centre,
+mean and centred co-moments), and the caller merges the parts in chunk
+order.
 """
 
 import contextvars
+import functools
 import operator
 import os
 import threading
@@ -151,6 +156,51 @@ def run_chunks(fn, count, dim):
     if failures:
         raise failures[min(failures)]
     return results
+
+
+def moments(rows):
+    """One chunk's part of equal-length rows of per-draw terms: the count,
+    each row's centre (its finite mean, else 0), its mean about the
+    centre, and the co-moment matrix of the rows about their means."""
+    terms = np.stack(rows)
+    centre = np.nan_to_num(terms.mean(axis=1), posinf=0.0, neginf=0.0)
+    terms -= centre[:, None]
+    mean = terms.mean(axis=1)
+    terms -= mean[:, None]
+    return terms.shape[1], centre, mean, terms @ terms.T
+
+
+def _merge(a, b):
+    """Two parts as one, about the first one's centre, by the pairwise
+    update of Chan, Golub and LeVeque (1979)."""
+    (na, ca, ma, Ma), (nb, cb, mb, Mb) = a, b
+    n = na + nb
+    with np.errstate(invalid="ignore"):
+        delta = (cb - ca) + (mb - ma)
+        # a row holding inf merges its sums, so it stays inf as in np.mean
+        mean = np.where(np.isfinite(delta), ma + delta * (nb / n),
+                        (na * ma + nb * (mb + (cb - ca))) / n)
+        return n, ca, mean, Ma + Mb + np.outer(delta, delta) * (na * nb / n)
+
+
+def pool(parts):
+    """The parts of consecutive chunks merged in order, equal numbers of
+    chunks at a time, so rounding grows with the log of the chunk count."""
+    stack = []    # (chunks merged, part), halving down
+    for part in parts:
+        merged = 1
+        while stack and stack[-1][0] == merged:
+            part = _merge(stack.pop()[1], part)
+            merged *= 2
+        stack.append((merged, part))
+    return functools.reduce(_merge, [part for _, part in stack])
+
+
+def mean_se(parts):
+    """(mean, standard error of the mean) of each row of the pooled parts."""
+    n, centre, mean, M = pool(parts)
+    se = np.sqrt(np.diagonal(M) / (n - 1)) / np.sqrt(n)
+    return [(float(mu), float(s)) for mu, s in zip(centre + mean, se)]
 
 
 def _key(seed):

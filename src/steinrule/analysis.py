@@ -13,7 +13,7 @@ from scipy.special import stdtr
 from . import _rng
 from .core_model import LinearModel, _mv, _svd_rank, _svd_solve
 from .shrinkage import apply_rule, plug_in_gap, spsl
-from .simulation import score
+from .simulation import _losses, relative_mse
 
 
 class DataError(ValueError):
@@ -261,19 +261,23 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
 
     Replicates are drawn and fitted in stacked chunks of about 400 kB of
     design each, one SVD per chunk serving both the rank check and the
-    fit, on one thread per CPU (_rng.run_chunks). Replicates whose
-    resampled design loses rank are redrawn from a dedicated stream, in
-    replicate order: a chunk holding such replicates returns only their
-    positions, and once every chunk is done the calling thread redraws
-    them, chunk by chunk, and refits those chunks from their
-    index-addressed draws, so memory stays flat in B. More than 10 B
-    redraws aborts. The results do not depend on the thread count.
+    fit, on one thread per CPU (_rng.run_chunks), and each chunk reduces
+    its losses to an _rng.moments part. Replicates whose resampled design
+    loses rank are redrawn from a dedicated stream, in replicate order: a
+    chunk holding such replicates returns only their positions, and once
+    every chunk is done the calling thread redraws them, chunk by chunk,
+    and scores those chunks from their index-addressed draws. The parts
+    are pooled in chunk order, so memory stays flat in B and the results
+    do not depend on the thread count. More than 10 B redraws aborts.
     """
     if B < 100:
         raise DataError(f"need at least 100 replications, got B={B}")
     defs = [_as_def(s) for s in (specs if specs is not None else [None])]
-    if any(est.name == "ls" for est in defs):
+    names = [est.name for est in defs]
+    if "ls" in names:
         raise DataError("'ls' names the base estimator")
+    if len(set(names)) != len(names):
+        raise DataError(f"estimator names must be distinct, got {names}")
     X, y, full = _full_sample(data, defs)
     n, k = X.shape
 
@@ -286,37 +290,36 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
         Xb = X[idx]
         return idx, Xb, *np.linalg.svd(Xb, full_matrices=False)
 
-    def fit(lo, idx, Xb, u, s, vt):
-        hi = lo + len(idx)
-        beta_hat[lo:hi], beta_tilde[lo:hi], a_hat[lo:hi] = _fit_pair(
-            Xb, y[idx], u, s, vt)
+    def part(idx, Xb, u, s, vt):
+        return _rng.moments(_losses(defs, *_fit_pair(Xb, y[idx], u, s, vt),
+                                    full["ls"]))
 
     def chunk(lo, hi):
         idx, Xb, u, s, vt = resample(lo, hi)
         deficient = np.flatnonzero(_svd_rank(s, n, k) < k)
-        if len(deficient):
-            return lo, hi, deficient
-        fit(lo, idx, Xb, u, s, vt)
+        return deficient, None if len(deficient) else part(idx, Xb, u, s, vt)
 
-    beta_hat, beta_tilde, a_hat = np.empty((B, k)), np.empty((B, k)), np.empty(B)
-    redraws = 0
-    for lo, hi, deficient in filter(None, _rng.run_chunks(chunk, B, n * k)):
-        idx, Xb, u, s, vt = resample(lo, hi)
-        for i in deficient:
-            while True:
-                if redraws >= 10 * B:
-                    raise DataError(
-                        f"bootstrap gave up after {redraws} rank-deficient redraws")
-                idx[i] = draw(1, 2, redraws)[0]
-                redraws += 1
-                Xb[i] = X[idx[i]]
-                rank, (u[i], s[i], vt[i]) = _design_rank(Xb[i])
-                if rank == k:
-                    break
-        fit(lo, idx, Xb, u, s, vt)
+    parts, redraws = [], 0
+    for (lo, hi), (deficient, done) in zip(_rng.chunks(B, n * k),
+                                           _rng.run_chunks(chunk, B, n * k)):
+        if len(deficient):
+            idx, Xb, u, s, vt = resample(lo, hi)
+            for i in deficient:
+                while True:
+                    if redraws >= 10 * B:
+                        raise DataError(
+                            f"bootstrap gave up after {redraws} rank-deficient redraws")
+                    idx[i] = draw(1, 2, redraws)[0]
+                    redraws += 1
+                    Xb[i] = X[idx[i]]
+                    rank, (u[i], s[i], vt[i]) = _design_rank(Xb[i])
+                    if rank == k:
+                        break
+            done = part(idx, Xb, u, s, vt)
+        parts.append(done)
 
     efficiency, spread = {}, {}
-    for name, rmse, se in score(defs, beta_hat, beta_tilde, a_hat, full["ls"]):
+    for name, rmse, se in relative_mse(defs, parts):
         efficiency[name], spread[name] = rmse, se
     efficiency["ls"], spread["ls"] = 1.0, 0.0
     return EfficiencyReport(full, efficiency, spread, B, seed, redraws)

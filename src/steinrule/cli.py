@@ -158,8 +158,11 @@ def cmd_analyze(args):
     data = load_csv(args.data).select(args.response,
                                       _split_covariates(args.covariates))
     table = correlation_table(data)
-    # the report first, so a refused run prints nothing to stdout
+    # the report and its file first, so a refused run prints nothing to stdout
     report = bootstrap_efficiency(data, B=args.bootstrap, seed=args.seed)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(report.to_json() + "\n")
     print("correlations:")
     print(matrix_text(table.names, table.r))
     print("p-values:")
@@ -168,8 +171,6 @@ def cmd_analyze(args):
     if args.bootstrap < 1000:
         print(f"note: B={args.bootstrap} gives wide bootstrap standard errors")
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(report.to_json() + "\n")
         print(f"wrote {args.out}")
     return 0
 

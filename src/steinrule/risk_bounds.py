@@ -5,7 +5,7 @@ Rayleigh-quotient caps, and the singular and elliptical extensions."""
 
 from collections import namedtuple
 from dataclasses import dataclass, replace
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -82,70 +82,10 @@ def _need_two(n):
                          f"standard error, got {n}")
 
 
-def _merge(a, b):
-    """Count, mean and centred sum of squares of two parts, per row, by the
-    pairwise update of Chan, Golub and LeVeque (1979)."""
-    (na, ma, m2a), (nb, mb, m2b) = a, b
-    n = na + nb
-    with np.errstate(invalid="ignore"):
-        delta = mb - ma
-        # a row holding inf merges its sums, so it stays inf as in np.mean
-        mean = np.where(np.isfinite(delta), ma + delta * (nb / n),
-                        (na * ma + nb * mb) / n)
-        return n, mean, m2a + m2b + delta * delta * (na * nb / n)
-
-
-class _Running:
-    """Count, mean and centred sum of squares of each row of terms fed in
-    chunks of shape (rows, draws). Chunks are merged pairwise, equal
-    numbers of chunks at a time (Chan, Golub and LeVeque's pairwise
-    algorithm), so rounding grows with the log of the chunk count. Every
-    chunk is centred on the first chunk's means, so a row far from zero
-    keeps its digits."""
-
-    def __init__(self):
-        self.parts = []    # (chunks, (n, mean, m2)), chunks halving down
-        self.shift = None
-
-    def add(self, rows):
-        self.add_part(self.part(rows))
-
-    def part(self, rows):
-        """(n, mean, m2) of one chunk about the shift, which the first
-        chunk sets; once it is set, safe to call from several threads at
-        once."""
-        terms = np.stack(rows)
-        if self.shift is None:
-            first = terms.mean(axis=1)
-            self.shift = np.where(np.isfinite(first), first, 0.0)
-        terms -= self.shift[:, None]
-        mean = terms.mean(axis=1)
-        terms -= mean[:, None]
-        terms *= terms
-        return terms.shape[1], mean, terms.sum(axis=1)
-
-    def add_part(self, part):
-        """Merge the next chunk's part, in chunk order."""
-        chunks = 1
-        while self.parts and self.parts[-1][0] == chunks:
-            part = _merge(self.parts.pop()[1], part)
-            chunks *= 2
-        self.parts.append((chunks, part))
-
-    def mean_se(self):
-        """(mean, standard error of the mean) per row."""
-        n = sum(part[0] for _, part in self.parts)
-        _need_two(n)
-        _, mean, m2 = reduce(_merge, [part for _, part in self.parts])
-        se = np.sqrt(m2 / (n - 1)) / np.sqrt(n)
-        return [(float(mu), float(s)) for mu, s in zip(self.shift + mean, se)]
-
-
 def _reduce(rows):
     """(mean, se) of each per-draw row, all draws at once."""
-    acc = _Running()
-    acc.add(rows)
-    return acc.mean_se()
+    _need_two(len(rows[0]))
+    return _rng.mean_se([_rng.moments(rows)])
 
 
 # One instance's checks in a suite pass. draws(normals, lo, hi) gives the
@@ -162,16 +102,15 @@ def _stream(sections, count):
     reduces its rows to a part before the next builds its own; the samplers
     address draws by index, so the chunks concatenate to one big draw.
 
-    The first chunk is reduced on the calling thread and sets every
-    section's shift; the others run on _rng.run_chunks, one thread per CPU,
-    and each section merges its parts in chunk order, so the reports do
-    not depend on the thread count, nor on which other sections share the
-    pass. Re-chunking a section would change its bits, so sections with
+    The chunks run on _rng.run_chunks, one thread per CPU, and each
+    section pools its parts in chunk order, so the reports do not depend
+    on the thread count, nor on which other sections share the pass.
+    Re-chunking a section would change its bits, so sections with
     different chunk ranges are refused."""
     _need_two(count)
     if len({_rng.chunk_rows(2 * s.k) for s in sections}) > 1:
         raise ValueError("the sections of one pass need equal chunk ranges")
-    shared, accs = {}, [_Running() for _ in sections]
+    shared = {}
     for i, s in enumerate(sections):
         shared.setdefault(s.key, []).append(i)
 
@@ -180,17 +119,12 @@ def _stream(sections, count):
         for members in shared.values():
             d = sections[members[0]].draws(normals, lo, hi)
             for i in members:
-                parts[i] = accs[i].part(sections[i].terms(d))
+                parts[i] = _rng.moments(sections[i].terms(d))
         return parts
 
-    width = 2 * sections[0].k
-    head = reduce_chunk(*next(_rng.chunks(count, width)))
-    rest = _rng.run_chunks(lambda lo, hi: None if lo == 0 else reduce_chunk(lo, hi),
-                           count, width)
-    for parts in [head] + rest[1:]:
-        for acc, part in zip(accs, parts):
-            acc.add_part(part)
-    return [s.reports(acc.mean_se(), count) for s, acc in zip(sections, accs)]
+    parts = _rng.run_chunks(reduce_chunk, count, 2 * sections[0].k)
+    return [s.reports(_rng.mean_se(section_parts), count)
+            for s, section_parts in zip(sections, zip(*parts))]
 
 
 def _joint(m, spec, seed):

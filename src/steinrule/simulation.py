@@ -403,44 +403,42 @@ def _run_cell(config, cell_id, X, beta, competitor):
 
     _rng.run_chunks(chunk, reps, n)
     gamma = comp.bias(beta)
-    return _relative_mse(config.estimators, loss), float(gamma @ gamma)
-
-
-def score(estimators, beta_hat, beta_tilde, a_hat, truth):
-    """Relative MSE of each estimator against the base over rows of fits:
-    beta_hat and beta_tilde are (rows, k), a_hat holds the rows' plug-in
-    risk gaps, and truth is what the squared losses are measured from.
-    Returns (name, rmse, se) triples in estimator order."""
-    return _relative_mse(estimators,
-                         _losses(estimators, beta_hat, beta_tilde, a_hat, truth))
+    return (relative_mse(config.estimators, [_rng.moments(loss)]),
+            float(gamma @ gamma))
 
 
 def _losses(estimators, beta_hat, beta_tilde, a_hat, truth):
-    """Squared loss per row, shape (1 + estimators, rows): the base fit's
-    first, then each estimator's in order."""
+    """Squared losses per row, shape (1 + estimators, rows): the base fit's
+    loss b first, then each estimator's loss less b. beta_hat and
+    beta_tilde are (rows, k), a_hat holds the rows' plug-in risk gaps, and
+    truth is what the losses are measured from."""
     # same float path for the base and the estimators, so a zero-weight
-    # control reproduces the base loss bitwise
+    # control reproduces the base loss bitwise and its row is all zeros
     out = np.empty((1 + len(estimators), beta_hat.shape[0]))
     fits = [beta_hat] + [apply_rule(beta_hat, beta_tilde, est.h, est.multiplier(a_hat))
                          for est in estimators]
     for row, fitted in zip(out, fits):
         dev = fitted - truth
         row[:] = np.einsum("ij,ij->i", dev, dev)
+    out[1:] -= out[0]
     return out
 
 
-def _relative_mse(estimators, loss):
-    """(name, rmse, se) per estimator from _losses rows: mean loss over
-    the base mean loss, with a delta-method standard error."""
-    base_loss = loss[0]
-    base_mean = base_loss.mean()
-    out = []
-    for est, est_loss in zip(estimators, loss[1:]):
-        ratio = est_loss.mean() / base_mean
-        se = ((est_loss - ratio * base_loss).std(ddof=1)
-              / np.sqrt(est_loss.shape[0]) / base_mean)
-        out.append((est.name, float(ratio), float(se)))
-    return out
+def relative_mse(estimators, parts):
+    """(name, rmse, se) per estimator from the _rng parts of _losses rows:
+    with b the base loss and d = e - b an estimator's loss less it, the
+    ratio is (mean b + mean d) / mean b, and its delta-method standard
+    error is the standard error of the mean of d + (1 - ratio) b, over
+    mean b. 1 - ratio is taken as -mean d / mean b, so it keeps its digits
+    when e is close to b, and a zero-weight control comes out at exactly 1
+    with standard error 0."""
+    n, centre, mean, M = _rng.pool(parts)
+    b, d = centre[0] + mean[0], centre[1:] + mean[1:]
+    g = -d / b    # 1 - ratio
+    var = np.diagonal(M)[1:] + 2.0 * g * M[1:, 0] + g * g * M[0, 0]
+    se = np.sqrt(np.maximum(var, 0.0) / (n - 1)) / np.sqrt(n) / b
+    return [(est.name, float(ratio), float(s))
+            for est, ratio, s in zip(estimators, (b + d) / b, se)]
 
 
 def _metadata(config, **extra):

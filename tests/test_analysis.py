@@ -25,7 +25,7 @@ from steinrule import (
 )
 from steinrule import _rng, plug_in_gap
 from steinrule.analysis import _fit_pair
-from steinrule.simulation import score
+from steinrule.simulation import _losses, relative_mse
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cigarette.csv")
 
@@ -43,8 +43,9 @@ def sparse_data(tmp_path):
 def loop_bootstrap(data, B, seed):
     """The bootstrap one replicate at a time: a one-row draw, a rank check,
     stream-2 redraws numbered in sequence, and the fit from the replicate's
-    own SVD, scored against the same SVD fit of the full sample. Returns
-    the (name, efficiency, se) triples and the redraws."""
+    own SVD, scored against the same SVD fit of the full sample through
+    the bootstrap's reducer on its chunks. Returns the (name, efficiency,
+    se) triples and the redraws."""
     X, y = data.design()
     n, k = X.shape
 
@@ -68,7 +69,10 @@ def loop_bootstrap(data, B, seed):
             redraws += 1
         beta_hat[b], beta_tilde[b], a_hat[b] = fit(X[idx], y[idx])
     reference = fit(X, y)[0]
-    return score([spsl()], beta_hat, beta_tilde, a_hat, reference), redraws
+    parts = [_rng.moments(_losses([spsl()], beta_hat[lo:hi], beta_tilde[lo:hi],
+                                  a_hat[lo:hi], reference))
+             for lo, hi in _rng.chunks(B, n * k)]
+    return relative_mse([spsl()], parts), redraws
 
 
 def hopeless_data(tmp_path):
@@ -268,6 +272,13 @@ class TestBootstrapEfficiency:
                 specs=[EstimatorDef("ls", HFunction.inverse_sq_norm(), None)],
                 B=200, seed=0)
 
+    def test_estimator_names_must_be_distinct(self, smoke_model):
+        with pytest.raises(DataError, match="distinct"):
+            bootstrap_efficiency(
+                smoke_model,
+                specs=[spsl("a"), EstimatorDef("a", HFunction.smooth_inverse(4))],
+                B=200, seed=0)
+
     def test_json_export(self, smoke_model):
         rep = bootstrap_efficiency(smoke_model, B=200, seed=0)
         doc = json.loads(rep.to_json())
@@ -392,15 +403,19 @@ class TestBootstrapEfficiency:
             tracemalloc.stop()
         assert peak < 8e6, f"peak {peak / 1e6:.2f} MB"
 
+    @pytest.mark.parametrize("design", ["brands", "sparse"])
     def test_memory_flat_in_replications_with_redraws(
-            self, monkeypatch, tmp_path):
-        # every chunk of the sparse design redraws, and no chunk is held
-        # until its redraws are made: what grows with B is each replicate's
-        # fits and losses (about 130 bytes here), not also its resampled
-        # design, indices and SVD (68 values; 584 bytes in all if held)
-        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
-        monkeypatch.setattr(_rng, "CHUNK_ELEMS", 500 * 8 * 3)
-        data = sparse_data(tmp_path)
+            self, monkeypatch, tmp_path, smoke_model, design):
+        # every chunk of the sparse design redraws, the brand design's none.
+        # Each chunk keeps only its co-moment part, and a deficient chunk
+        # only the positions of its redraws until they are made: about 1
+        # (brands) and 4 (sparse) bytes per replicate, where holding each
+        # replicate's fits and losses took 72 and 156. One thread, so the
+        # peak does not depend on how the chunks in flight overlap; at two
+        # it moved by up to 50 bytes per replicate between runs
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 1)
+        data = smoke_model if design == "brands" else sparse_data(tmp_path)
+        monkeypatch.setattr(_rng, "CHUNK_ELEMS", 500 * data.design()[0].size)
         peaks = []
         for B in (2000, 6000):
             tracemalloc.start()
@@ -410,7 +425,7 @@ class TestBootstrapEfficiency:
             finally:
                 tracemalloc.stop()
         per_replicate = (peaks[1] - peaks[0]) / 4000
-        assert per_replicate < 32 * 8, f"{per_replicate:.0f} bytes per replicate"
+        assert per_replicate < 16, f"{per_replicate:.1f} bytes per replicate"
 
     def test_str_report(self, smoke_model):
         text = str(bootstrap_efficiency(smoke_model, B=200, seed=0))

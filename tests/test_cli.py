@@ -250,6 +250,14 @@ class TestAnalyze:
         assert doc["relative_efficiency"]["ls"] == 1.0
         assert doc["relative_efficiency"]["spsl"] < 1.0
 
+    def test_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "report.json"
+        code = main(ANALYZE_ARGS + ["--bootstrap", "200", "--out", str(out)])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: [Errno 2]")
+
     def test_unknown_column(self, capsys):
         code = main(["analyze", "--data", DATA, "--response", "co",
                      "--covariates", "tar,bogus", "--bootstrap", "200"])

@@ -223,6 +223,35 @@ class TestRunChunks:
         assert sorted(owners) == list(range(len(spans)))
 
 
+class TestPool:
+    """_rng.moments parts of uneven chunks, pooled by _rng.pool."""
+
+    def test_uneven_chunks_match_concatenation(self):
+        # the 1e8 row: a naive sum of squares loses every digit of its spread
+        rng = np.random.default_rng(54)
+        n = 10_007
+        terms = np.stack([rng.normal(size=n), 1e8 + rng.normal(size=n),
+                          rng.standard_cauchy(size=n) ** 2, np.zeros(n)])
+        cuts = [0, 1, 2, 1_000, 1_001, 5_000, n]
+        parts = [_rng.moments(terms[:, lo:hi])
+                 for lo, hi in zip(cuts[:-1], cuts[1:])]
+        for (mean, se), row in zip(_rng.mean_se(parts), terms):
+            assert mean == pytest.approx(row.mean(), rel=1e-14, abs=0.0)
+            assert se == pytest.approx(row.std(ddof=1) / np.sqrt(n), rel=1e-14, abs=0.0)
+        # every co-moment, the zero row's exactly 0
+        M = _rng.pool(parts)[3]
+        scale = np.sqrt(np.outer(np.diag(M), np.diag(M)))
+        assert np.all(np.abs(M - np.cov(terms) * (n - 1)) <= 1e-13 * scale)
+
+    @pytest.mark.parametrize("at", [2, 7])
+    def test_infinite_term_merges_to_inf(self, at):
+        row = np.arange(10.0)
+        row[at] = np.inf
+        with np.errstate(invalid="ignore"):
+            parts = [_rng.moments([row[:5]]), _rng.moments([row[5:]])]
+        assert _rng.mean_se(parts)[0][0] == np.inf == row.mean()
+
+
 class TestEllipticalSpec:
     def test_dirac_moments(self):
         spec = EllipticalSpec.dirac()

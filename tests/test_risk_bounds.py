@@ -357,32 +357,6 @@ class TestDefaultSuite:
             default_bound_suite(count=1)
 
 
-class TestRunningMerge:
-    def test_uneven_chunks_match_concatenation(self):
-        # the 1e8 row: a naive sum of squares loses every digit of its spread
-        rng = np.random.default_rng(54)
-        n = 10_007
-        terms = np.stack([rng.normal(size=n), 1e8 + rng.normal(size=n),
-                          rng.standard_cauchy(size=n) ** 2, np.zeros(n)])
-        acc = risk_bounds._Running()
-        cuts = [0, 1, 2, 1_000, 1_001, 5_000, n]
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            acc.add(terms[:, lo:hi])
-        for (mean, se), row in zip(acc.mean_se(), terms):
-            assert mean == pytest.approx(row.mean(), rel=1e-14, abs=0.0)
-            assert se == pytest.approx(row.std(ddof=1) / np.sqrt(n), rel=1e-14, abs=0.0)
-
-    @pytest.mark.parametrize("at", [2, 7])
-    def test_infinite_term_merges_to_inf(self, at):
-        row = np.arange(10.0)
-        row[at] = np.inf
-        acc = risk_bounds._Running()
-        with np.errstate(invalid="ignore"):
-            acc.add([row[:5]])
-            acc.add([row[5:]])
-        assert acc.mean_se()[0][0] == np.inf == row.mean()
-
-
 class TestStreamedSuites:
     SEED = 53
 

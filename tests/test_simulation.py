@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -277,6 +278,32 @@ class TestGammaSweep:
         cfg = self._restricted_config(replications=4_000, gamma_norms=(200.0,))
         row = gamma_sweep(cfg).rows[0]
         assert row.rmse == pytest.approx(1.0, abs=max(0.01, 4 * row.rmse_se))
+
+
+class TestRelativeMse:
+    def test_matches_exact_rationals(self):
+        # e within about 1e-6 of b: the naive e - ratio b cancels about ten
+        # digits, the pooled (b, e - b) co-moments must not
+        rng = np.random.default_rng(61)
+        b = rng.uniform(0.5, 2.0, size=301)
+        e = b * (1.0 + 1e-6 * rng.uniform(0.0, 2.0, size=b.size))
+        rows = np.stack([b, e - b, b - b])
+        cuts = [0, 2, 3, 97, 250, b.size]
+        parts = [_rng.moments(rows[:, lo:hi]) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        (_, ratio, se), same = simulation.relative_mse(
+            [EstimatorDef("near", HFunction.zero()),
+             EstimatorDef("same", HFunction.zero())], parts)
+        assert same == ("same", 1.0, 0.0)
+
+        n = b.size
+        bq, eq = [Fraction(v) for v in b], [Fraction(v) for v in e]
+        exact_ratio = sum(eq) / sum(bq)
+        dev = [x - exact_ratio * y for x, y in zip(eq, bq)]
+        centre = sum(dev) / n
+        var = sum((v - centre) ** 2 for v in dev) / (n - 1)
+        exact_se = np.sqrt(float(var / n / (sum(bq) / n) ** 2))
+        assert ratio == pytest.approx(float(exact_ratio), rel=1e-13, abs=0.0)
+        assert se == pytest.approx(exact_se, rel=1e-13, abs=0.0)
 
 
 class TestStreamedCell:
