@@ -69,7 +69,7 @@ def load_csv(path):
     way down; a cell that breaks that, or an empty cell, is reported with
     its row and column. Columns that start non-numeric are kept as labels.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         raw = [row for row in csv.reader(fh) if row]
     if len(raw) < 2:
         raise DataError(f"{path}: need a header row and at least one data row")

@@ -27,7 +27,7 @@ from .risk_bounds import (
     restricted_instance,
     singular_suite,
 )
-from .shrinkage import EstimatorDef, HFunction
+from .shrinkage import INVERSE_SQ_NORM, WEIGHT_KINDS, EstimatorDef
 from .simulation import ConfigError, SimConfig, gamma_sweep, run_sweep
 
 
@@ -147,16 +147,15 @@ def cmd_verify_bounds(args):
     return 0 if ok else 1
 
 
-def _split_covariates(arg):
-    names = [nm.strip() for nm in arg.split(",") if nm.strip()]
+def _dataset(args):
+    names = [nm.strip() for nm in args.covariates.split(",") if nm.strip()]
     if not names:
         raise DataError("no covariate names given")
-    return names
+    return load_csv(args.data).select(args.response, names)
 
 
 def cmd_analyze(args):
-    data = load_csv(args.data).select(args.response,
-                                      _split_covariates(args.covariates))
+    data = _dataset(args)
     table = correlation_table(data)
     # the report and its file first, so a refused run prints nothing to stdout
     report = bootstrap_efficiency(data, B=args.bootstrap, seed=args.seed)
@@ -176,16 +175,9 @@ def cmd_analyze(args):
 
 
 def cmd_estimate(args):
-    data = load_csv(args.data).select(args.response,
-                                      _split_covariates(args.covariates))
-    if args.h == "zero":
-        h = HFunction.zero()
-    elif args.h == "one":
-        h = HFunction.one()
-    elif args.h == "smooth-inverse":
-        h = HFunction.smooth_inverse(args.p)
-    else:
-        h = HFunction.inverse_sq_norm()
+    data = _dataset(args)
+    make, keys = WEIGHT_KINDS[INVERSE_SQ_NORM if args.h == "inverse-sq" else args.h]
+    h = make(*(getattr(args, key) for key in keys))
     c = None if args.c == "auto" else float(args.c)
     est = EstimatorDef("estimate", h, c)
     for nm, vec in point_estimates(data, est).items():

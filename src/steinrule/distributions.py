@@ -82,6 +82,14 @@ class EllipticalSpec:
         return g / np.sqrt(self.mixing_draws(seed, len(g), start=start))[:, None]
 
 
+# each mixing kind's constructor and the config keys of its arguments, in order
+MIXING_KINDS = {
+    DIRAC_AT_ONE: (EllipticalSpec.dirac, ()),
+    GAMMA_MIXTURE: (EllipticalSpec.gamma_mixture, ("nu",)),
+    TWO_POINT_MIXTURE: (EllipticalSpec.two_point, ("z1", "z2", "w")),
+}
+
+
 def joint_map(m):
     """The map from rows g of 2k standard normals, each already scaled by
     its z^(-1/2) under a scale mixture, to draws of (U1, U2): U = g L' about

@@ -87,6 +87,15 @@ class HFunction:
         return float(self.values(np.asarray(x)[None, :], np.asarray(y)[None, :])[0])
 
 
+# each weight kind's constructor and the config keys of its arguments, in order
+WEIGHT_KINDS = {
+    INVERSE_SQ_NORM: (HFunction.inverse_sq_norm, ()),
+    SMOOTH_INVERSE: (HFunction.smooth_inverse, ("p",)),
+    ZERO: (HFunction.zero, ()),
+    ONE: (HFunction.one, ()),
+}
+
+
 def _smooth_inverse_q0(p):
     # sup over s > 0 of s / (1 + s^a), a = p/2, attained at s^a = 1/(a - 1);
     # at p = 2 the sup is the limit 1, which 0.0 ** 0.0 == 1.0 gives

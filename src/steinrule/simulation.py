@@ -18,19 +18,11 @@ from .core_model import (
     RestrictionError,
     restriction_projection,
 )
-from .distributions import (
-    DIRAC_AT_ONE,
-    GAMMA_MIXTURE,
-    TWO_POINT_MIXTURE,
-    EllipticalSpec,
-)
+from .distributions import DIRAC_AT_ONE, MIXING_KINDS, EllipticalSpec
 from .shrinkage import (
     INVERSE_SQ_NORM,
-    ONE,
-    SMOOTH_INVERSE,
-    ZERO,
+    WEIGHT_KINDS,
     EstimatorDef,
-    HFunction,
     apply_rule,
     plug_in_gap,
     spsl,
@@ -110,7 +102,8 @@ class SimConfig:
     @classmethod
     def from_json(cls, doc):
         """Build from a JSON document (text or parsed dict)."""
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
+        data = dict(_object(json.loads(doc) if isinstance(doc, str) else doc,
+                            "config"))
         extra = set(data) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config keys: {sorted(extra)}")
@@ -119,7 +112,9 @@ class SimConfig:
         if missing:
             raise ConfigError(f"missing config keys: {sorted(missing)}")
         if "distribution" in data:
-            data["distribution"] = _dist_from_json(data["distribution"])
+            dist = data["distribution"]
+            data["distribution"] = _decode(
+                MIXING_KINDS, DIRAC_AT_ONE if dist is None else dist, "distribution")
         if "competitor" in data:
             data["competitor"] = _competitor_from_json(data["competitor"])
         if "estimators" in data:
@@ -133,10 +128,12 @@ class SimConfig:
             "n": self.n, "k": self.k, "sigma": self.sigma, "rho": self.rho,
             "beta_norms": list(self.beta_norms),
             "replications": self.replications, "seed": self.seed,
-            "distribution": _dist_to_json(self.distribution),
-            "competitor": _competitor_to_json(self.competitor),
+            "distribution": _encode(MIXING_KINDS, self.distribution),
+            "competitor": DIAG if self.competitor == DIAG else {
+                "Rmat": self.competitor.Rmat.tolist(),
+                "r": self.competitor.r.tolist()},
             "estimators": [
-                {"name": e.name, "h": _h_to_json(e.h),
+                {"name": e.name, "h": _encode(WEIGHT_KINDS, e.h),
                  "c": "auto" if e.c is None else e.c}
                 for e in self.estimators],
         }
@@ -169,73 +166,52 @@ def _object(obj, what):
     return obj
 
 
-def _dist_from_json(obj):
-    if obj is None or obj == DIRAC_AT_ONE:
-        return EllipticalSpec.dirac()
+def _decode(kinds, obj, what):
+    """The spec a config value names: a bare kind name for a kind with no
+    keys in kinds, else {"kind": name, key: number, ...} over its keys."""
     if isinstance(obj, str):
-        raise ConfigError(f"unknown distribution {obj!r}")
-    kind = _object(obj, "distribution").get("kind")
-    what = f"distribution {kind!r}"
-    if kind == DIRAC_AT_ONE:
-        return EllipticalSpec.dirac()
-    if kind == GAMMA_MIXTURE:
-        return EllipticalSpec.gamma_mixture(_real(f"{what} 'nu'", obj.get("nu")))
-    if kind == TWO_POINT_MIXTURE:
-        return EllipticalSpec.two_point(
-            *(_real(f"{what} {key!r}", obj.get(key)) for key in ("z1", "z2", "w")))
-    raise ConfigError(f"unknown distribution kind {kind!r}")
+        if obj not in kinds or kinds[obj][1]:
+            raise ConfigError(f"unknown {what} {obj!r}")
+        obj = {"kind": obj}
+    kind = _object(obj, what).get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    make, keys = kinds[kind]
+    label = f"{what} {kind!r}"
+    return _build(label, make, *(_real(f"{label} {key!r}", obj.get(key))
+                                 for key in keys))
 
 
-def _dist_to_json(spec):
-    if spec.kind == DIRAC_AT_ONE:
-        return DIRAC_AT_ONE
-    if spec.kind == GAMMA_MIXTURE:
-        return {"kind": spec.kind, "nu": spec.nu}
-    return {"kind": spec.kind, "z1": spec.z1, "z2": spec.z2, "w": spec.w}
+def _encode(kinds, spec):
+    """The config value _decode reads back as spec."""
+    keys = kinds[spec.kind][1]
+    if not keys:
+        return spec.kind
+    return {"kind": spec.kind, **{key: getattr(spec, key) for key in keys}}
+
+
+def _build(label, make, *args):
+    """make(*args), its ValueError raised as a ConfigError naming label."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
 
 
 def _competitor_from_json(obj):
     if obj == DIAG or obj is None:
         return DIAG
     if isinstance(obj, dict) and "Rmat" in obj and "r" in obj:
-        return LinearRestriction(obj["Rmat"], obj["r"])
+        return _build("competitor", LinearRestriction, obj["Rmat"], obj["r"])
     raise ConfigError(f"competitor must be 'diag' or {{Rmat, r}}, got {obj!r}")
-
-
-def _competitor_to_json(comp):
-    if comp == DIAG:
-        return DIAG
-    return {"Rmat": comp.Rmat.tolist(), "r": comp.r.tolist()}
-
-
-def _h_from_json(obj):
-    if isinstance(obj, str):
-        if obj == INVERSE_SQ_NORM:
-            return HFunction.inverse_sq_norm()
-        if obj == ZERO:
-            return HFunction.zero()
-        if obj == ONE:
-            return HFunction.one()
-        raise ConfigError(f"unknown weight {obj!r}")
-    kind = _object(obj, "weight").get("kind")
-    if kind == SMOOTH_INVERSE:
-        return HFunction.smooth_inverse(_real(f"weight {kind!r} 'p'", obj.get("p")))
-    if kind in (INVERSE_SQ_NORM, ZERO, ONE):
-        return _h_from_json(kind)
-    raise ConfigError(f"unknown weight kind {kind!r}")
-
-
-def _h_to_json(h):
-    if h.kind == SMOOTH_INVERSE:
-        return {"kind": h.kind, "p": h.p}
-    return h.kind
 
 
 def _estimator_from_json(obj):
     name = _object(obj, "estimator").get("name")
     c = obj.get("c", "auto")
     c = None if c in ("auto", None) else _real(f"estimator {name!r} c", c)
-    return EstimatorDef(name, _h_from_json(obj.get("h", INVERSE_SQ_NORM)), c)
+    h = _decode(WEIGHT_KINDS, obj.get("h", INVERSE_SQ_NORM), "weight")
+    return EstimatorDef(name, h, c)
 
 
 @dataclass

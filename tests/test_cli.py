@@ -129,6 +129,17 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "error" in err and key in err
 
+    @pytest.mark.parametrize("doc", ["5", "null", '"abc"', "[1, 2]"])
+    def test_non_object_document_is_a_config_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(doc)
+        code = main(["simulate", "--config", str(cfg),
+                     "--out", str(tmp_path / "rows.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config must be a JSON object, got ")
+        assert "Traceback" not in err
+
 
 class TestVerifyBounds:
     def test_default_instances_hold(self, capsys):
@@ -327,6 +338,21 @@ class TestEstimate:
         captured = capsys.readouterr()
         assert "error" in captured.err and "p >= 2" in captured.err
         assert captured.out == ""
+
+    def test_reads_a_byte_order_mark(self, tmp_path, capsys):
+        # an Excel "CSV UTF-8" file: a byte-order mark before the header,
+        # whose first column is the response
+        with open(DATA) as fh:
+            rows = [line.rstrip("\n").split(",") for line in fh]
+        path = tmp_path / "bom.csv"
+        path.write_text("".join(",".join(row[-1:] + row[:-1]) + "\n"
+                                for row in rows), encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbfco,")
+        args = ["--response", "co", "--covariates", "tar,nicotine,weight"]
+        assert main(["estimate", "--data", str(path), *args]) == 0
+        moved = capsys.readouterr().out
+        assert main(["estimate", "--data", DATA, *args]) == 0
+        assert moved == capsys.readouterr().out
 
     def test_bad_multiplier(self, capsys):
         code = main(["estimate", "--data", DATA, "--response", "co",

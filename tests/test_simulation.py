@@ -134,6 +134,64 @@ class TestSimConfig:
         again = SimConfig.from_json(cfg.to_json_dict())
         assert again.to_json_dict() == cfg.to_json_dict()
 
+    @pytest.mark.parametrize("written, spec, encoded", [
+        ("dirac-at-one", EllipticalSpec.dirac(), "dirac-at-one"),
+        (None, EllipticalSpec.dirac(), "dirac-at-one"),
+        ({"kind": "dirac-at-one"}, EllipticalSpec.dirac(), "dirac-at-one"),
+        ({"kind": "gamma-mixture", "nu": 5}, EllipticalSpec.gamma_mixture(5.0),
+         {"kind": "gamma-mixture", "nu": 5.0}),
+        ({"kind": "two-point-mixture", "z1": 0.5, "z2": 2, "w": 0.25},
+         EllipticalSpec.two_point(0.5, 2.0, 0.25),
+         {"kind": "two-point-mixture", "z1": 0.5, "z2": 2.0, "w": 0.25}),
+    ], ids=["dirac-name", "null", "dirac-object", "gamma", "two-point"])
+    def test_json_round_trip_mixing_law(self, written, spec, encoded):
+        doc = base_config().to_json_dict()
+        doc["distribution"] = written
+        cfg = SimConfig.from_json(doc)
+        assert cfg.distribution == spec
+        assert cfg.to_json_dict()["distribution"] == encoded
+        assert SimConfig.from_json(cfg.to_json_dict()).distribution == spec
+
+    @pytest.mark.parametrize("c", [-0.3, "auto"])
+    @pytest.mark.parametrize("written, h", [
+        ("zero", HFunction.zero()),
+        ("one", HFunction.one()),
+        ("inverse-sq-norm", HFunction.inverse_sq_norm()),
+        ({"kind": "smooth-inverse", "p": 3.0}, HFunction.smooth_inverse(3.0)),
+    ], ids=["zero", "one", "inverse-sq-norm", "smooth-inverse"])
+    def test_json_round_trip_weight(self, written, h, c):
+        doc = base_config().to_json_dict()
+        doc["estimators"] = [{"name": "e", "h": written, "c": c}]
+        cfg = SimConfig.from_json(doc)
+        est = EstimatorDef("e", h, None if c == "auto" else c)
+        assert cfg.estimators == (est,)
+        assert cfg.to_json_dict()["estimators"] == doc["estimators"]
+        assert SimConfig.from_json(cfg.to_json_dict()).estimators == (est,)
+
+    @pytest.mark.parametrize("override, label, reason", [
+        ({"distribution": {"kind": "gamma-mixture", "nu": 1.5}},
+         "distribution 'gamma-mixture'",
+         "gamma mixing needs a finite nu > 2, got 1.5"),
+        ({"distribution": {"kind": "two-point-mixture", "z1": 0.5, "z2": 2.0,
+                           "w": 1.5}},
+         "distribution 'two-point-mixture'", "weight must lie in (0, 1), got 1.5"),
+        ({"estimators": [{"name": "s", "h": {"kind": "smooth-inverse", "p": 1}}]},
+         "weight 'smooth-inverse'", "smooth inverse needs a finite p >= 2, got 1.0"),
+        ({"k": 4, "competitor": {"Rmat": [["a", 0, 0, 0]], "r": [0]}},
+         "competitor", "could not convert string to float: 'a'"),
+        ({"competitor": {"Rmat": [[1, 0, 0], [2, 0, 0]], "r": [0, 0]}},
+         "competitor", "restriction rows are linearly dependent (rank 1 of 2)"),
+    ], ids=["nu", "w", "p", "Rmat", "dependent-rows"])
+    def test_constructor_refusal_is_a_config_error(self, override, label, reason):
+        # the key is named and the constructor's reason kept, whatever
+        # ValueError subclass the constructor raised
+        doc = base_config().to_json_dict()
+        doc.update(override)
+        with pytest.raises(ConfigError) as info:
+            SimConfig.from_json(doc)
+        message = str(info.value)
+        assert message.startswith(f"{label}: ") and reason in message
+
     def test_from_json_rejects_unknown_keys(self):
         doc = base_config().to_json_dict()
         doc["typo"] = 1
