@@ -11,13 +11,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _rng
-from .core_model import (
-    DIAG,
-    Competitor,
-    LinearRestriction,
-    RestrictionError,
-    restriction_projection,
-)
+from .core_model import DIAG, Competitor, LinearRestriction, RestrictionError
 from .distributions import DIRAC_AT_ONE, MIXING_KINDS, EllipticalSpec
 from .shrinkage import (
     INVERSE_SQ_NORM,
@@ -202,8 +196,16 @@ def _competitor_from_json(obj):
     if obj == DIAG or obj is None:
         return DIAG
     if isinstance(obj, dict) and "Rmat" in obj and "r" in obj:
-        return _build("competitor", LinearRestriction, obj["Rmat"], obj["r"])
+        return _build("competitor", LinearRestriction,
+                      _entries("Rmat", obj["Rmat"]), _entries("r", obj["r"]))
     raise ConfigError(f"competitor must be 'diag' or {{Rmat, r}}, got {obj!r}")
+
+
+def _entries(key, value, depth=2):
+    """A competitor's Rmat or r: a number, or lists to depth of numbers."""
+    if depth and isinstance(value, (list, tuple)):
+        return [_entries(key, v, depth - 1) for v in value]
+    return _real(f"restriction {key} entry", value)
 
 
 def _estimator_from_json(obj):
@@ -303,15 +305,7 @@ def run_sweep(config):
     """
     rows = []
     for cell_id, beta_norm in enumerate(config.beta_norms):
-        beta = make_beta(config.k, beta_norm)
-        X = generate_design(config.n, config.k, config.rho,
-                            _rng.spawn_seed(config.seed, cell_id, 0))
-        cell_rows, gamma_sq = _run_cell(config, cell_id, X, beta,
-                                        config.competitor)
-        for name, rmse, se in cell_rows:
-            rows.append(SweepRow(cell_id, config.n, config.k, config.sigma,
-                                 config.rho, beta_norm, gamma_sq, name,
-                                 rmse, se, config.replications, config.seed))
+        rows += _run_cell(config, cell_id, beta_norm)
     return SweepResult(rows, _metadata(config, sweep="beta_norms"))
 
 
@@ -328,39 +322,34 @@ def gamma_sweep(config):
         raise ConfigError("no gamma_norms given")
     if len(config.beta_norms) != 1:
         raise ConfigError("gamma sweep uses a single beta norm")
-    base = config.competitor
-    beta = make_beta(config.k, config.beta_norms[0])
     rows = []
     for cell_id, gamma_sq_target in enumerate(config.gamma_norms):
-        X = generate_design(config.n, config.k, config.rho,
-                            _rng.spawn_seed(config.seed, cell_id, 0))
-        J = restriction_projection(X.T @ X, base)
-        u = np.ones(base.q) / np.sqrt(base.q)
-        Ju = J @ u
-        scale = np.sqrt(gamma_sq_target / float(Ju @ Ju))
-        shifted = LinearRestriction(base.Rmat, base.Rmat @ beta - scale * u)
-        cell_rows, gamma_sq = _run_cell(config, cell_id, X, beta, shifted)
-        for name, rmse, se in cell_rows:
-            rows.append(SweepRow(cell_id, config.n, config.k, config.sigma,
-                                 config.rho, config.beta_norms[0], gamma_sq,
-                                 name, rmse, se, config.replications,
-                                 config.seed))
+        rows += _run_cell(config, cell_id, config.beta_norms[0], gamma_sq_target)
     return SweepResult(rows, _metadata(config, sweep="gamma_norms",
                                        gamma_norms=list(config.gamma_norms)))
 
 
-def _run_cell(config, cell_id, X, beta, competitor):
+def _run_cell(config, cell_id, beta_norm, gamma_sq_target=None):
     """All replications of one cell, streamed in chunks of n-wide noise
     run on one thread per CPU (_rng.run_chunks). Every replication's draws
     are addressed by index, so the per-replication losses, and the ratios
     taken over all of them at once, depend neither on the chunking nor on
-    the thread count. Returns the per-estimator (name, rmse, se) triples
-    and the realized squared bias norm."""
+    the thread count. Returns the cell's rows, one per estimator.
+
+    With gamma_sq_target the competitor's offset r moves to Rmat beta - s u,
+    u the equal weights over its rows and s set so the squared bias norm is
+    the target; J, M and the trace gap depend on X'X and Rmat alone."""
     n, k, reps = config.n, config.k, config.replications
+    beta = make_beta(k, beta_norm)
+    X = generate_design(n, k, config.rho, _rng.spawn_seed(config.seed, cell_id, 0))
     try:
-        comp = Competitor(X.T @ X, competitor)
+        comp = Competitor(X.T @ X, config.competitor)
     except (np.linalg.LinAlgError, RestrictionError) as exc:
         raise ConfigError(f"cell {cell_id} failed: {exc}") from exc
+    if gamma_sq_target is not None:
+        u = np.ones(config.competitor.q) / np.sqrt(config.competitor.q)
+        Ju = comp.J @ u
+        comp.r = comp.Rmat @ beta - np.sqrt(gamma_sq_target / float(Ju @ Ju)) * u
 
     noise_seed = _rng.spawn_seed(config.seed, cell_id, 1)
     mix_seed = _rng.spawn_seed(config.seed, cell_id, 2)
@@ -379,8 +368,10 @@ def _run_cell(config, cell_id, X, beta, competitor):
 
     _rng.run_chunks(chunk, reps, n)
     gamma = comp.bias(beta)
-    return (relative_mse(config.estimators, [_rng.moments(loss)]),
-            float(gamma @ gamma))
+    return [SweepRow(cell_id, n, k, config.sigma, config.rho, beta_norm,
+                     float(gamma @ gamma), name, rmse, se, reps, config.seed)
+            for name, rmse, se in relative_mse(config.estimators,
+                                               [_rng.moments(loss)])]
 
 
 def _losses(estimators, beta_hat, beta_tilde, a_hat, truth):

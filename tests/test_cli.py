@@ -119,6 +119,14 @@ class TestSimulate:
         ({"estimators": [{"name": 5}]}, "name"),
         ({"estimators": [{"h": "zero", "c": 0}]}, "name"),
         ({"estimators": [{"name": "a"}, {"name": "a", "h": "zero"}]}, "'a'"),
+        ({"competitor": {"Rmat": {"a": 1}, "r": [0]}}, "restriction Rmat entry"),
+        ({"competitor": {"Rmat": [[1, 0, 0]], "r": {"a": 1}}},
+         "restriction r entry"),
+        ({"competitor": {"Rmat": [[1, 0, 0]], "r": True}}, "restriction r entry"),
+        ({"competitor": {"Rmat": [[True, False, False]], "r": [0]}},
+         "restriction Rmat entry"),
+        ({"competitor": {"Rmat": [["1", 0, 0]], "r": [0]}},
+         "restriction Rmat entry"),
     ])
     def test_malformed_config_is_a_config_error(self, tmp_path, capsys,
                                                 override, key):
@@ -128,6 +136,7 @@ class TestSimulate:
         assert code == 2
         err = capsys.readouterr().err
         assert "error" in err and key in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("doc", ["5", "null", '"abc"', "[1, 2]"])
     def test_non_object_document_is_a_config_error(self, tmp_path, capsys, doc):

@@ -13,8 +13,6 @@ from steinrule import (
     RankDeficientError,
     RestrictionError,
     fit_ols,
-    SimConfig,
-    gamma_sweep,
     joint_moments_restricted,
     sample_joint_singular,
 )
@@ -189,18 +187,15 @@ class TestFitRestricted:
     def test_singular_projection_raises(self):
         # unreachable through validated inputs, so degrade the restriction
         # matrix after construction to exercise the defensive path; every
-        # caller of the projection reports it the same way
+        # caller of the projection reports it the same way (the sweeps wrap
+        # it in a ConfigError, see test_simulation)
         model, beta = random_model(20, 3, 1.0, 12)
         restriction = LinearRestriction(np.eye(1, 3), np.zeros(1))
         restriction.Rmat = np.zeros((1, 3))
-        config = SimConfig(n=20, k=3, sigma=1.0, rho=0.3, beta_norms=(1.0,),
-                           replications=100, seed=0, competitor=restriction,
-                           gamma_norms=(1.0,))
         calls = (
             lambda: Competitor(model.X.T @ model.X, restriction),
             lambda: joint_moments_restricted(model, restriction, beta),
             lambda: sample_joint_singular(model, restriction, beta, 1.0, 10, 0),
-            lambda: gamma_sweep(config),
         )
         for call in calls:
             with pytest.raises(RestrictionError, match="singular"):

@@ -177,8 +177,8 @@ class TestSimConfig:
          "distribution 'two-point-mixture'", "weight must lie in (0, 1), got 1.5"),
         ({"estimators": [{"name": "s", "h": {"kind": "smooth-inverse", "p": 1}}]},
          "weight 'smooth-inverse'", "smooth inverse needs a finite p >= 2, got 1.0"),
-        ({"k": 4, "competitor": {"Rmat": [["a", 0, 0, 0]], "r": [0]}},
-         "competitor", "could not convert string to float: 'a'"),
+        ({"k": 4, "competitor": {"Rmat": [[]], "r": [0]}},
+         "competitor", "restriction needs at least one nonempty row"),
         ({"competitor": {"Rmat": [[1, 0, 0], [2, 0, 0]], "r": [0, 0]}},
          "competitor", "restriction rows are linearly dependent (rank 1 of 2)"),
     ], ids=["nu", "w", "p", "Rmat", "dependent-rows"])
@@ -287,12 +287,19 @@ class TestRunSweep:
         with pytest.raises(TypeError, match="bug in weight"):
             run_sweep(cfg)
 
-    def test_singular_restriction_is_a_config_error(self):
+    @pytest.mark.parametrize("sweep", [run_sweep, gamma_sweep],
+                             ids=["run_sweep", "gamma_sweep"])
+    def test_singular_restriction_is_a_config_error(self, sweep):
+        # unreachable through validated inputs, so degrade the restriction
+        # matrix after construction; both sweeps name the cell it failed in
         restriction = LinearRestriction(np.eye(1, 3), np.zeros(1))
         restriction.Rmat = np.zeros((1, 3))
+        config = base_config(competitor=restriction, beta_norms=(1.0,),
+                             gamma_norms=(1.0,))
         with pytest.raises(ConfigError, match="cell 0 failed") as info:
-            run_sweep(base_config(competitor=restriction))
+            sweep(config)
         assert isinstance(info.value.__cause__, RestrictionError)
+        assert "singular" in str(info.value)
 
 
 class TestGammaSweep:
@@ -309,6 +316,29 @@ class TestGammaSweep:
     def test_requires_restricted_competitor(self):
         with pytest.raises(ConfigError):
             gamma_sweep(base_config(gamma_norms=(0.0, 1.0)))
+
+    def test_projects_once_per_cell(self, monkeypatch):
+        # the cell moves its competitor's offset, so J is projected once
+        # and no restriction is built per cell
+        from steinrule import core_model
+        cfg = self._restricted_config(gamma_norms=(0.0, 1.0, 5.0),
+                                      replications=100)
+        calls = {"projections": 0, "restrictions": 0}
+
+        def counting(original, key):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return original(*args, **kwargs)
+            return wrapper
+
+        project = counting(core_model.restriction_projection, "projections")
+        monkeypatch.setattr(core_model, "restriction_projection", project)
+        monkeypatch.setattr(simulation, "restriction_projection", project,
+                            raising=False)
+        monkeypatch.setattr(LinearRestriction, "__init__", counting(
+            LinearRestriction.__init__, "restrictions"))
+        assert len(gamma_sweep(cfg).rows) == 3
+        assert calls == {"projections": 3, "restrictions": 0}
 
     def test_realized_bias_matches_targets(self):
         cfg = self._restricted_config(gamma_norms=(0.0, 1.0, 5.0))
