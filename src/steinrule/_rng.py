@@ -161,8 +161,11 @@ def run_chunks(fn, count, dim):
 def moments(rows):
     """One chunk's part of equal-length rows of per-draw terms: the count,
     each row's centre (its finite mean, else 0), its mean about the
-    centre, and the co-moment matrix of the rows about their means."""
-    terms = np.stack(rows)
+    centre, and the co-moment matrix of the rows about their means.
+
+    rows is a sequence of 1-D arrays, stacked into a new array, or a 2-D
+    float array, which is consumed: it is centred in place."""
+    terms = rows if isinstance(rows, np.ndarray) else np.stack(rows)
     centre = np.nan_to_num(terms.mean(axis=1), posinf=0.0, neginf=0.0)
     terms -= centre[:, None]
     mean = terms.mean(axis=1)

@@ -216,18 +216,48 @@ def _fit_pair(X, y, u, s, vt):
     """The base fit, the diagonal competitor D^-1 X'y and the plug-in risk
     gap on one design (n, k) or a stack of them (m, n, k), given the thin
     SVD u, s, vt of each full-rank design: the SVD form of
-    Competitor(X'X)'s fit and trace gap. On a 2 vCPU VM one stacked
-    Competitor per 500-replicate chunk cost 795 us (its inv 551 us) beside
-    a 3.7 ms SVD, and took analyze at B = 20000 from 0.10 to 0.15 s wall
-    and from 0.18-0.19 to 0.27-0.29 s CPU (3 alternating pairs of
-    `perfbench/run.py --seconds 10`), so the bootstrap keeps this form."""
+    Competitor(X'X)'s fit and trace gap."""
+    return _with_competitor(X, y, _svd_solve(u, s, vt, y),
+                            np.sum(1.0 / s**2, axis=-1))
+
+
+def _with_competitor(X, y, beta_hat, trace_G):
+    """_fit_pair's triple from the base fit and tr (X'X)^-1 of each design."""
     n, k = X.shape[-2:]
-    beta_hat = _svd_solve(u, s, vt, y)
     d = np.einsum("...ij,...ij->...j", X, X)
     beta_tilde = _mv(X.swapaxes(-1, -2), y) / d
-    trace_gap = np.sum(1.0 / s**2, axis=-1) - np.sum(1.0 / d, axis=-1)
+    trace_gap = trace_G - np.sum(1.0 / d, axis=-1)
     return beta_hat, beta_tilde, plug_in_gap(y - _mv(X, beta_hat), n - k,
                                              trace_gap)
+
+
+_CERTIFIED_COND = 1e10
+
+
+def _normal_fit(X, y):
+    """_fit_pair's triple for a stack of designs (m, n, k) from the normal
+    equations, or None unless every design is certified full rank.
+
+    G = (X'X)^-1 comes from one batched inv; the fit G X'y takes one
+    refinement step, beta += G X'(y - X beta) (corrected seminormal
+    equations, Bjorck 1996, section 6.6), and the trace gap reads tr G.
+    With A = X'X, tr G tr A bounds cond(A) = cond(X)^2 from above, so a
+    design with a positive tr G tr A under _CERTIFIED_COND has
+    s_min / s_max above 1e-5, full rank by _svd_rank's rule too. (A
+    singular A that inv does not refuse can give a negative one.)"""
+    Xt = X.swapaxes(-1, -2)
+    A = Xt @ X
+    try:
+        G = np.linalg.inv(A)
+    except np.linalg.LinAlgError:
+        return None
+    trace_G = np.trace(G, axis1=-2, axis2=-1)
+    bound = trace_G * np.trace(A, axis1=-2, axis2=-1)
+    if not np.all((bound > 0) & (bound < _CERTIFIED_COND)):
+        return None
+    beta_hat = _mv(G, _mv(Xt, y))
+    beta_hat += _mv(G, _mv(Xt, y - _mv(X, beta_hat)))
+    return _with_competitor(X, y, beta_hat, trace_G)
 
 
 def _full_sample(data, defs):
@@ -260,15 +290,18 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     over the base estimator's own.
 
     Replicates are drawn and fitted in stacked chunks of about 400 kB of
-    design each, one SVD per chunk serving both the rank check and the
-    fit, on one thread per CPU (_rng.run_chunks), and each chunk reduces
-    its losses to an _rng.moments part. Replicates whose resampled design
-    loses rank are redrawn from a dedicated stream, in replicate order: a
-    chunk holding such replicates returns only their positions, and once
-    every chunk is done the calling thread redraws them, chunk by chunk,
-    and scores those chunks from their index-addressed draws. The parts
-    are pooled in chunk order, so memory stays flat in B and the results
-    do not depend on the thread count. More than 10 B redraws aborts.
+    design each, on one thread per CPU (_rng.run_chunks), and each chunk
+    reduces its losses to an _rng.moments part. A chunk is fitted by the
+    normal equations (_normal_fit) when every replicate in it is
+    certified full rank; otherwise one SVD of the chunk gives each
+    replicate its rank by _svd_rank's rule and its fit. Replicates whose
+    resampled design loses rank are redrawn from a dedicated stream, in
+    replicate order: a chunk holding such replicates returns only their
+    positions, and once every chunk is done the calling thread redraws
+    them, chunk by chunk, and scores those chunks by the SVD from their
+    index-addressed draws. The parts are pooled in chunk order, so memory
+    stays flat in B and the results do not depend on the thread count.
+    More than 10 B redraws aborts.
     """
     if B < 100:
         raise DataError(f"need at least 100 replications, got B={B}")
@@ -287,23 +320,28 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
 
     def resample(lo, hi):
         idx = draw(hi - lo, 0, lo)
-        Xb = X[idx]
-        return idx, Xb, *np.linalg.svd(Xb, full_matrices=False)
+        return idx, X[idx]
 
-    def part(idx, Xb, u, s, vt):
-        return _rng.moments(_losses(defs, *_fit_pair(Xb, y[idx], u, s, vt),
-                                    full["ls"]))
+    def part(fit):
+        return _rng.moments(_losses(defs, *fit, full["ls"]))
 
     def chunk(lo, hi):
-        idx, Xb, u, s, vt = resample(lo, hi)
-        deficient = np.flatnonzero(_svd_rank(s, n, k) < k)
-        return deficient, None if len(deficient) else part(idx, Xb, u, s, vt)
+        idx, Xb = resample(lo, hi)
+        fit = _normal_fit(Xb, y[idx])
+        if fit is None:
+            u, s, vt = np.linalg.svd(Xb, full_matrices=False)
+            deficient = np.flatnonzero(_svd_rank(s, n, k) < k)
+            if len(deficient):
+                return deficient, None
+            fit = _fit_pair(Xb, y[idx], u, s, vt)
+        return (), part(fit)
 
     parts, redraws = [], 0
     for (lo, hi), (deficient, done) in zip(_rng.chunks(B, n * k),
                                            _rng.run_chunks(chunk, B, n * k)):
         if len(deficient):
-            idx, Xb, u, s, vt = resample(lo, hi)
+            idx, Xb = resample(lo, hi)
+            u, s, vt = np.linalg.svd(Xb, full_matrices=False)
             for i in deficient:
                 while True:
                     if redraws >= 10 * B:
@@ -315,7 +353,7 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
                     rank, (u[i], s[i], vt[i]) = _design_rank(Xb[i])
                     if rank == k:
                         break
-            done = part(idx, Xb, u, s, vt)
+            done = part(_fit_pair(Xb, y[idx], u, s, vt))
         parts.append(done)
 
     efficiency, spread = {}, {}

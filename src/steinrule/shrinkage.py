@@ -64,14 +64,6 @@ class HFunction:
         """
         return cls(ONE, q0=np.inf)
 
-    def values(self, beta_hat, beta_tilde):
-        """Evaluate on rows of estimate pairs; returns one weight per row."""
-        beta_hat = np.atleast_2d(np.asarray(beta_hat, dtype=float))
-        beta_tilde = np.atleast_2d(np.asarray(beta_tilde, dtype=float))
-        diff = beta_hat - beta_tilde
-        sq = np.einsum("ij,ij->i", diff, diff)
-        return self._values_from(sq)
-
     def _values_from(self, sq_norms):
         """One weight per squared norm of x - y."""
         if self.kind == ZERO:
@@ -82,9 +74,6 @@ class HFunction:
             with np.errstate(divide="ignore"):
                 return 1.0 / sq_norms
         return 1.0 / (1.0 + sq_norms ** (self.p / 2.0))
-
-    def __call__(self, x, y):
-        return float(self.values(np.asarray(x)[None, :], np.asarray(y)[None, :])[0])
 
 
 # each weight kind's constructor and the config keys of its arguments, in order

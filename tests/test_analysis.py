@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+from fractions import Fraction
 import os
 import tracemalloc
 import warnings
@@ -24,7 +25,7 @@ from steinrule import (
     spsl,
 )
 from steinrule import _rng, plug_in_gap
-from steinrule.analysis import _fit_pair
+from steinrule.analysis import _CERTIFIED_COND, _fit_pair, _normal_fit
 from steinrule.simulation import _losses, relative_mse
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "cigarette.csv")
@@ -85,6 +86,76 @@ def hopeless_data(tmp_path):
         for i in range(20)]
     path.write_text("\n".join(rows) + "\n")
     return load_csv(path).select("y", ["x"] + names)
+
+
+def resamples(data, lo, hi, seed=0):
+    """The bootstrap's resampled designs and responses lo to hi - 1."""
+    X, y = data.design()
+    n = X.shape[0]
+    u = _rng.uniforms(seed, hi - lo, n, start=lo)
+    idx = np.minimum((u * n).astype(int), n - 1)
+    return X[idx], y[idx]
+
+
+def collinear_design(delta, n=25):
+    """An intercept and three covariates, the last within delta z of the
+    first: tr G tr A grows as 1 / delta^2, and the design keeps full rank."""
+    rng = np.random.default_rng(7)
+    x1, x2, z = rng.uniform(0, 10, n), rng.uniform(0, 10, n), rng.normal(size=n)
+    X = np.column_stack([np.ones(n), x1, x2, x1 + delta * z])
+    return X, X @ [1.0, 0.5, -0.3, 0.2] + rng.normal(size=n)
+
+
+def collinear_data(tmp_path, delta):
+    X, y = collinear_design(delta)
+    path = tmp_path / "collinear.csv"
+    rows = ["y,x1,x2,w"] + [",".join(repr(float(v)) for v in (yi, *xi[1:]))
+                            for yi, xi in zip(y, X)]
+    path.write_text("\n".join(rows) + "\n")
+    return load_csv(path).select("y", ["x1", "x2", "w"])
+
+
+def certificate(X):
+    """tr G tr A of each design in a stack, with A = X'X and G = A^-1."""
+    A = X.swapaxes(-1, -2) @ X
+    return (np.trace(np.linalg.inv(A), axis1=-2, axis2=-1)
+            * np.trace(A, axis1=-2, axis2=-1))
+
+
+def exact_fit(X, y):
+    """The base fit and the plug-in risk gap of one design, exactly: the
+    normal equations solved by Gauss-Jordan elimination in rationals."""
+    n, k = X.shape
+    Xq = [[Fraction(v) for v in row] for row in X]
+    yq = [Fraction(v) for v in y]
+    A = [[sum(r[i] * r[j] for r in Xq) for j in range(k)] for i in range(k)]
+    # rows of [A | I | X'y]
+    M = [A[i] + [Fraction(int(i == j)) for j in range(k)]
+         + [sum(r[i] * v for r, v in zip(Xq, yq))] for i in range(k)]
+    for c in range(k):
+        pivot = next(r for r in range(c, k) if M[r][c] != 0)
+        M[c], M[pivot] = M[pivot], M[c]
+        M[c] = [v / M[c][c] for v in M[c]]
+        for r in range(k):
+            if r != c:
+                M[r] = [a - M[r][c] * b for a, b in zip(M[r], M[c])]
+    beta = [M[i][-1] for i in range(k)]
+    resid = [v - sum(a * b for a, b in zip(r, beta)) for r, v in zip(Xq, yq)]
+    trace_gap = (sum(M[i][k + i] for i in range(k))
+                 - sum(1 / A[i][i] for i in range(k)))
+    return beta, sum(e * e for e in resid) / (n - k) * trace_gap
+
+
+def fit_errors(fit, X, y):
+    """The largest relative error of beta_hat (in norm) and of a_hat over a
+    stack of fits, against exact_fit."""
+    worst = [0.0, 0.0]
+    for bh, ah, Xi, yi in zip(fit[0], fit[2], X, y):
+        beta, a = exact_fit(Xi, yi)
+        err = sum((Fraction(v) - b) ** 2 for v, b in zip(bh, beta))
+        worst[0] = max(worst[0], float(err / sum(b * b for b in beta)) ** 0.5)
+        worst[1] = max(worst[1], float(abs((Fraction(ah) - a) / a)))
+    return worst
 
 
 @pytest.fixture(scope="module")
@@ -457,7 +528,8 @@ class TestBootstrapEfficiency:
             base[b] = np.sum((bh - reference) ** 2)
             for est in specs:
                 c = -a_hat if est.c is None else est.c
-                fit = bh + c * est.h(bh, bt) * (bh - bt)
+                diff = bh - bt
+                fit = bh + c * est.h._values_from(np.array([diff @ diff]))[0] * diff
                 losses[est.name][b] = np.sum((fit - reference) ** 2)
         for est in specs:
             loss = losses[est.name]
@@ -466,6 +538,21 @@ class TestBootstrapEfficiency:
             assert rep.relative_efficiency[est.name] == pytest.approx(
                 ratio, rel=1e-12)
             assert rep.efficiency_se[est.name] == pytest.approx(se, rel=1e-12)
+
+    def test_uncertified_chunks_match_per_replicate_loop(self, tmp_path):
+        # w is x1 to within 1e-6 z: every resample keeps full rank by the
+        # SVD rule (s_min / s_max near 1e-7), but tr G tr A is near 1e14,
+        # so every chunk fails the certificate and takes the chunk SVD
+        data = collinear_data(tmp_path, 1e-6)
+        B, seed = 1500, 0
+        for lo, hi in _rng.chunks(B, data.design()[0].size):
+            assert _normal_fit(*resamples(data, lo, hi, seed)) is None
+        rep = bootstrap_efficiency(data, B=B, seed=seed)
+        triples, redraws = loop_bootstrap(data, B, seed)
+        assert rep.redraws == redraws == 0
+        for name, ratio, se in triples:
+            assert rep.relative_efficiency[name] == ratio
+            assert rep.efficiency_se[name] == se
 
     def test_zero_weight_control_is_exact(self, smoke_model):
         rep = bootstrap_efficiency(
@@ -478,7 +565,9 @@ class TestBootstrapEfficiency:
 
 class TestFitPair:
     """The bootstrap's SVD form of the competitor's fit and trace gap
-    gives Competitor's numbers, on one design and on a stack."""
+    gives Competitor's numbers, on one design and on a stack; its
+    normal-equations form agrees with it on the chunks it certifies, and
+    refuses the rest."""
 
     @pytest.mark.parametrize("stack", [(), (3,)])
     def test_matches_competitor(self, stack):
@@ -496,3 +585,58 @@ class TestFitPair:
             np.testing.assert_allclose(beta_tilde[i], comp.fit(base), rtol=1e-12)
             expect = plug_in_gap(y[i] - X[i] @ base, n - k, comp.trace_gap)
             assert a_hat[i] == pytest.approx(expect, rel=1e-12)
+
+    def test_normal_fit_matches_svd_fit_on_brand_chunk(self, smoke_model):
+        # beta_hat is compared in each replicate's norm: the SVD fit's
+        # smallest component (0.014) is off by 2e-12 of itself, the
+        # normal-equations fit's by 8e-14
+        Xb, yb = resamples(smoke_model, 0, 500)
+        assert np.all(certificate(Xb) < _CERTIFIED_COND)
+        fit = _normal_fit(Xb, yb)
+        assert fit is not None
+        svd = _fit_pair(Xb, yb, *np.linalg.svd(Xb, full_matrices=False))
+        gap = np.linalg.norm(fit[0] - svd[0], axis=1)
+        assert np.all(gap <= 1e-12 * np.linalg.norm(svd[0], axis=1))
+        np.testing.assert_allclose(fit[1], svd[1], rtol=1e-12)
+        np.testing.assert_allclose(fit[2], svd[2], rtol=1e-12)
+
+    def test_normal_fit_accuracy_on_brand_chunk(self, smoke_model):
+        # measured over the first 20 replicates: beta_hat 8.3e-15, a_hat
+        # 2.2e-13 (the SVD fit: 2.5e-14 and 3.2e-15); bounds 6x and 4.6x those
+        Xb, yb = resamples(smoke_model, 0, 20)
+        beta_err, a_err = fit_errors(_normal_fit(Xb, yb), Xb, yb)
+        assert beta_err < 5e-14 and a_err < 1e-12, (beta_err, a_err)
+
+    def test_normal_fit_accuracy_near_the_certificate_bound(self):
+        # tr G tr A = 9.46e9, cond(X) = 9.3e4. beta_hat keeps the SVD
+        # fit's accuracy (1.8e-12, SVD 2.6e-12), but tr G from the
+        # inverse of X'X carries cond(X)^2 eps, so a_hat is off by 4.5e-7
+        # (SVD 2.9e-12); bounds 5.5x and 4.4x those
+        X, y = (a[None] for a in collinear_design(1.6e-4))
+        assert 0.9 * _CERTIFIED_COND < certificate(X)[0] < _CERTIFIED_COND
+        beta_err, a_err = fit_errors(_normal_fit(X, y), X, y)
+        assert beta_err < 1e-11 and a_err < 2e-6, (beta_err, a_err)
+
+    @pytest.mark.parametrize("column", ["zero", "sum"])
+    def test_rank_deficient_stack_is_refused(self, smoke_model, column):
+        # a zero column makes inv raise; a column that is the sum of two
+        # others does not, and tr G tr A comes out negative (-2.9e16)
+        Xb, yb = resamples(smoke_model, 0, 500)
+        Xb[7, :, 3] = 0.0 if column == "zero" else Xb[7, :, 1] + Xb[7, :, 2]
+        A = Xb[7].T @ Xb[7]
+        if column == "zero":
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(A)
+        else:
+            assert np.trace(np.linalg.inv(A)) * np.trace(A) < 0
+        assert _normal_fit(Xb, yb) is None
+
+    def test_stack_past_the_certificate_bound_is_refused(self, smoke_model):
+        # full rank and inv does not raise, but one design's tr G tr A is
+        # 1.07e10, just past the bound
+        Xb, yb = resamples(smoke_model, 0, 500)
+        Xb[7], yb[7] = collinear_design(1.5e-4)
+        bound = certificate(Xb)
+        assert _CERTIFIED_COND < bound[7] < 1.1 * _CERTIFIED_COND
+        assert np.all(np.delete(bound, 7) < _CERTIFIED_COND)
+        assert _normal_fit(Xb, yb) is None

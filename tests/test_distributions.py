@@ -7,6 +7,7 @@ independent reference, never the package's own streams.
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,7 +234,8 @@ class TestPool:
         terms = np.stack([rng.normal(size=n), 1e8 + rng.normal(size=n),
                           rng.standard_cauchy(size=n) ** 2, np.zeros(n)])
         cuts = [0, 1, 2, 1_000, 1_001, 5_000, n]
-        parts = [_rng.moments(terms[:, lo:hi])
+        # moments consumes a 2-D array, and terms is read below
+        parts = [_rng.moments(terms[:, lo:hi].copy())
                  for lo, hi in zip(cuts[:-1], cuts[1:])]
         for (mean, se), row in zip(_rng.mean_se(parts), terms):
             assert mean == pytest.approx(row.mean(), rel=1e-14, abs=0.0)
@@ -242,6 +244,24 @@ class TestPool:
         M = _rng.pool(parts)[3]
         scale = np.sqrt(np.outer(np.diag(M), np.diag(M)))
         assert np.all(np.abs(M - np.cov(terms) * (n - 1)) <= 1e-13 * scale)
+
+    def test_consumes_a_2d_array_in_place(self):
+        # a (rows, m) array is centred where it lies: no second block of
+        # rows * m floats, and the part is bitwise that of its rows stacked
+        rng = np.random.default_rng(55)
+        rows = np.stack([rng.normal(size=100_000), 1e8 + rng.normal(size=100_000),
+                         rng.standard_cauchy(size=100_000)])
+        expect = _rng.moments(tuple(rows))
+        tracemalloc.start()
+        try:
+            got = _rng.moments(rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows.nbytes / 4, f"peak {peak} bytes"
+        assert got[0] == expect[0]
+        for a, b in zip(got[1:], expect[1:]):
+            assert np.array_equal(a, b)
 
     @pytest.mark.parametrize("at", [2, 7])
     def test_infinite_term_merges_to_inf(self, at):
