@@ -42,6 +42,7 @@ from .risk_bounds import (
     BoundReport,
     RiskMoments,
     biased_instance,
+    bound_suite,
     check_born1,
     check_born2,
     check_corinterm,

@@ -231,7 +231,8 @@ def _with_competitor(X, y, beta_hat, trace_G):
                                              trace_gap)
 
 
-_CERTIFIED_COND = 1e10
+# tr G carries cond(X)^2 eps into a_hat; under 1e7 a_hat is good to about 1e-9
+_CERTIFIED_COND = 1e7
 
 
 def _normal_fit(X, y):
@@ -243,7 +244,7 @@ def _normal_fit(X, y):
     equations, Bjorck 1996, section 6.6), and the trace gap reads tr G.
     With A = X'X, tr G tr A bounds cond(A) = cond(X)^2 from above, so a
     design with a positive tr G tr A under _CERTIFIED_COND has
-    s_min / s_max above 1e-5, full rank by _svd_rank's rule too. (A
+    s_min / s_max above 3e-4, full rank by _svd_rank's rule too. (A
     singular A that inv does not refuse can give a negative one.)"""
     Xt = X.swapaxes(-1, -2)
     A = Xt @ X

@@ -16,17 +16,7 @@ from .analysis import (
     point_estimates,
 )
 from .distributions import EllipticalSpec
-from .risk_bounds import (
-    RESTRICTED_ROWS,
-    _stream,
-    biased_instance,
-    check_courant,
-    elliptical_suite,
-    gaussian_suite,
-    identity_instance,
-    restricted_instance,
-    singular_suite,
-)
+from .risk_bounds import RESTRICTED_ROWS, bound_suite, check_courant
 from .shrinkage import INVERSE_SQ_NORM, WEIGHT_KINDS, EstimatorDef
 from .simulation import ConfigError, SimConfig, gamma_sweep, run_sweep
 
@@ -119,27 +109,17 @@ def cmd_verify_bounds(args):
             print(f"error: --singular needs --k below {RESTRICTED_ROWS}, "
                   f"the restricted instance's row count", file=sys.stderr)
             return 2
-        restricted = restricted_instance(k=args.k, q=args.singular)
-    # every section is built before the one pass draws, so a refusal
-    # draws nothing
-    seed, biased = args.seed, biased_instance(args.k)
-    sections = {"identity": gaussian_suite(identity_instance(args.k), "identity", seed),
-                "biased": gaussian_suite(biased, "biased", seed)}
-    if args.elliptical is not None:
-        sections["elliptical"] = elliptical_suite(
-            biased, EllipticalSpec.gamma_mixture(args.elliptical),
-            f"biased/gamma-nu{args.elliptical:g}", seed)
-    if restricted is not None:
-        sections["singular"] = singular_suite(
-            restricted, f"restricted-q{args.singular}", seed)
-    sections = dict(zip(sections, _stream(list(sections.values()), args.samples)))
+        restricted = (args.k, args.singular)
+    mixing = (() if args.elliptical is None
+              else (EllipticalSpec.gamma_mixture(args.elliptical),))
+    sections = bound_suite(args.samples, args.seed, args.k, mixing, restricted)
     # fixed nonsymmetric matrix with mixed-sign entries
     courant_matrix = np.arange(1.0, 1.0 + args.k * args.k).reshape(args.k, args.k)
     courant_matrix[0, -1] *= -1.0
-    sections["courant"] = check_courant(courant_matrix, 10_000, seed)
+    sections.append(("courant", check_courant(courant_matrix, 10_000, args.seed)))
 
     ok = True
-    for label, reports in sections.items():
+    for label, reports in sections:
         for rep in reports:
             ok = ok and rep.holds
             print(f"[{label}] {rep}")

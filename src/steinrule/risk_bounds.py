@@ -19,6 +19,9 @@ from .core_model import (
 # the Gaussian and elliptical samplers stay bound here, where the
 # benchmark's tracer wraps every sampler by name
 from .distributions import (
+    DIRAC_AT_ONE,
+    GAMMA_MIXTURE,
+    TWO_POINT_MIXTURE,
     DivergentMomentError,
     EllipticalSpec,
     joint_map,
@@ -496,21 +499,36 @@ def singular_suite(instance, label, seed):
                     [_tag(rep, label) for rep in _singular_reports(ms, h, LXL, *stats)])
 
 
+_MIXING_LABELS = {DIRAC_AT_ONE: "dirac", GAMMA_MIXTURE: "gamma-nu{nu:g}",
+                  TWO_POINT_MIXTURE: "two-point-z{z1:g}-{z2:g}-w{w:g}"}
+
+
+def bound_suite(count, seed, k=3,
+                mixing=(EllipticalSpec.dirac(), EllipticalSpec.gamma_mixture(5.0)),
+                restricted=(4, 3)):
+    """The bound suite as (section, reports) pairs from one pass over count
+    draws: Gaussian checks on the identity and biased instances of
+    dimension k, an elliptical section on the biased instance per mixing
+    law, and the singular caps on the (k, q) restricted instance unless
+    restricted is None. Every section is built before anything is drawn.
+    The strict elliptical cap runs on the biased instance: at zero bias
+    the plain-Gaussian cap is an equality, which no finite-sample check
+    can sit strictly below."""
+    biased = biased_instance(k)
+    sections = [("identity", gaussian_suite(identity_instance(k), "identity", seed)),
+                ("biased", gaussian_suite(biased, "biased", seed))]
+    for spec in mixing:
+        label = "biased/" + _MIXING_LABELS[spec.kind].format(**vars(spec))
+        sections.append(("elliptical", elliptical_suite(biased, spec, label, seed)))
+    if restricted is not None:
+        rk, q = restricted
+        sections.append(("singular", singular_suite(restricted_instance(k=rk, q=q),
+                                                    f"restricted-q{q}", seed)))
+    names, built = zip(*sections)
+    return list(zip(names, _stream(built, count)))
+
+
 def default_bound_suite(count=10**6, seed=DEFAULT_SEED):
     """Every inequality check on the standard instance set, in a fixed
-    order, in one pass whose Gaussian and elliptical sections share each
-    chunk's normals and the Dirac section the biased instance's draws.
-    All reports should hold.
-
-    The strict elliptical cap is run on the biased instance: at zero bias
-    the plain-Gaussian cap is an equality, which no finite-sample check
-    can sit strictly below.
-    """
-    biased = biased_instance()
-    sections = [gaussian_suite(identity_instance(), "identity", seed),
-                gaussian_suite(biased, "biased", seed),
-                elliptical_suite(biased, EllipticalSpec.dirac(), "biased/dirac", seed),
-                elliptical_suite(biased, EllipticalSpec.gamma_mixture(5.0),
-                                 "biased/gamma-nu5", seed),
-                singular_suite(restricted_instance(), "restricted-q3", seed)]
-    return [rep for reports in _stream(sections, count) for rep in reports]
+    order: bound_suite's defaults, flattened. All reports should hold."""
+    return [rep for _, reports in bound_suite(count, seed) for rep in reports]

@@ -608,14 +608,14 @@ class TestFitPair:
         assert beta_err < 5e-14 and a_err < 1e-12, (beta_err, a_err)
 
     def test_normal_fit_accuracy_near_the_certificate_bound(self):
-        # tr G tr A = 9.46e9, cond(X) = 9.3e4. beta_hat keeps the SVD
-        # fit's accuracy (1.8e-12, SVD 2.6e-12), but tr G from the
-        # inverse of X'X carries cond(X)^2 eps, so a_hat is off by 4.5e-7
-        # (SVD 2.9e-12); bounds 5.5x and 4.4x those
-        X, y = (a[None] for a in collinear_design(1.6e-4))
+        # tr G tr A = 9.68e6, cond(X) = 3.0e3. beta_hat is off by 1.4e-13
+        # (SVD 3.2e-14); tr G from the inverse of X'X carries cond(X)^2
+        # eps, so a_hat is off by 6.2e-10 (SVD 1.5e-13), which the bound
+        # keeps under 1e-9; test bounds 6.9x and 4.9x those
+        X, y = (a[None] for a in collinear_design(5.0e-3))
         assert 0.9 * _CERTIFIED_COND < certificate(X)[0] < _CERTIFIED_COND
         beta_err, a_err = fit_errors(_normal_fit(X, y), X, y)
-        assert beta_err < 1e-11 and a_err < 2e-6, (beta_err, a_err)
+        assert beta_err < 1e-12 and a_err < 3e-9, (beta_err, a_err)
 
     @pytest.mark.parametrize("column", ["zero", "sum"])
     def test_rank_deficient_stack_is_refused(self, smoke_model, column):
@@ -633,9 +633,9 @@ class TestFitPair:
 
     def test_stack_past_the_certificate_bound_is_refused(self, smoke_model):
         # full rank and inv does not raise, but one design's tr G tr A is
-        # 1.07e10, just past the bound
+        # 1.05e7, just past the bound
         Xb, yb = resamples(smoke_model, 0, 500)
-        Xb[7], yb[7] = collinear_design(1.5e-4)
+        Xb[7], yb[7] = collinear_design(4.8e-3)
         bound = certificate(Xb)
         assert _CERTIFIED_COND < bound[7] < 1.1 * _CERTIFIED_COND
         assert np.all(np.delete(bound, 7) < _CERTIFIED_COND)

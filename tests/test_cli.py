@@ -158,14 +158,20 @@ class TestVerifyBounds:
         assert "[identity]" in out and "[biased]" in out
 
     def test_prints_the_suite_gaussian_reports(self, capsys):
-        assert main(["verify-bounds", "--samples", "20000"]) == 0
+        assert main(["verify-bounds", "--samples", "20000", "--elliptical", "5"]) == 0
         lines = capsys.readouterr().out.splitlines()
+        suite = default_bound_suite(count=20_000, seed=0)
         # the two Gaussian instances lead the suite, each with 9 reports
-        gaussian = default_bound_suite(count=20_000, seed=0)[:18]
+        gaussian = suite[:18]
         assert any("smooth-inverse-2" in r.name for r in gaussian)
         for r in gaussian:
             label = r.name.split("[")[1].split("/")[0].rstrip("]")
             assert f"[{label}] {r}" in lines
+        # then the Dirac and the gamma-mixture elliptical sections, 3 each
+        gamma = suite[21:24]
+        assert all(r.name.endswith("[biased/gamma-nu5]") for r in gamma)
+        for r in gamma:
+            assert f"[elliptical] {r}" in lines
 
     @pytest.mark.parametrize("samples", ["0", "1", "-5"])
     def test_too_few_samples_is_an_error(self, samples, capsys):

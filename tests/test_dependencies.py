@@ -1,5 +1,7 @@
-"""The runtime dependency surface: numpy plus scipy.special, nothing more."""
+"""The runtime dependency surface: numpy plus scipy.special, nothing more;
+and the CLI's surface: the package's public names."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +36,16 @@ def test_import_starts_no_thread():
                  "print(threading.active_count(), "
                  "'concurrent.futures.thread' in sys.modules)")
     assert out.split() == ["1", "False"]
+
+
+def test_cli_imports_no_private_name():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "src", "steinrule", "cli.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    imported = [f"{node.module or ''}.{alias.name}" for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and (node.level or node.module.startswith("steinrule"))
+                for alias in node.names]
+    assert [name for name in imported
+            if any(part.startswith("_") for part in name.split("."))] == []

@@ -16,6 +16,7 @@ from steinrule import (
     JointMoments,
     LinearRestriction,
     biased_instance,
+    bound_suite,
     check_born1,
     check_born2,
     check_corinterm,
@@ -452,9 +453,22 @@ class TestStreamedSuites:
         alone = [_stream([s], count)[0] for s in sections]
         flat = [r for reports in alone for r in reports]
         assert self._bits(default_bound_suite(count=count, seed=0)) == self._bits(flat)
+        named = bound_suite(count, 0)
+        assert [name for name, _ in named] == ["identity", "biased", "elliptical",
+                                               "elliptical", "singular"]
+        assert [self._bits(r) for _, r in named] == [self._bits(r) for r in alone]
         # a scaled section ahead of the unscaled ones leaves their normals as drawn
         together = _stream(sections[::-1], count)[::-1]
         assert [self._bits(r) for r in together] == [self._bits(r) for r in alone]
+
+    def test_suite_labels_each_mixing_law(self):
+        mixing = (EllipticalSpec.two_point(0.5, 2.0, 0.3),
+                  EllipticalSpec.gamma_mixture(7.5))
+        named = bound_suite(2_000, 0, k=4, mixing=mixing, restricted=None)
+        assert [name for name, _ in named] == ["identity", "biased",
+                                               "elliptical", "elliptical"]
+        labels = [{r.name.split("[")[1] for r in reports} for _, reports in named[2:]]
+        assert labels == [{"biased/two-point-z0.5-2-w0.3]"}, {"biased/gamma-nu7.5]"}]
 
     @pytest.mark.parametrize("suite, instance", [
         (gaussian_suite, identity_instance()),
