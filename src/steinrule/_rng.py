@@ -48,10 +48,6 @@ STREAM_MIXING = 1
 # run their chunks with run_chunks, so they hold one chunk per thread.
 CHUNK_ELEMS = 512 * 25 * 4
 
-# run_chunks' helper threads, (threads, executor), made on first use so
-# that importing the package starts no thread
-_pool = None
-_pool_lock = threading.Lock()
 _local = threading.local()
 
 
@@ -84,33 +80,12 @@ def _worker_count():
         return os.cpu_count() or 1
 
 
-def _executor(threads):
-    global _pool
-    with _pool_lock:
-        if _pool is None or _pool[0] != threads:
-            from concurrent.futures import ThreadPoolExecutor
-            if _pool is not None:
-                _pool[1].shutdown(wait=False)
-            _pool = (threads, ThreadPoolExecutor(threads, "steinrule-chunk"))
-        return _pool[1]
-
-
-def _forget_pool():
-    # a forked child has none of its parent's threads; it makes its own pool
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def run_chunks(fn, count, dim):
     """[fn(lo, hi) for lo, hi in chunks(count, dim)], run by the calling
-    thread and a pool of helpers, one thread per CPU this process may use.
-    The calling thread runs the first chunk; each thread takes the next
-    chunk when it is done with its last, so at most that many chunks are
-    in flight.
+    thread and helper threads started for this call, one thread per CPU
+    this process may use in all, and joined before it returns. The calling
+    thread runs the first chunk; each thread takes the next chunk when it
+    is done with its last, so at most that many chunks are in flight.
 
     Each chunk runs in a copy of the caller's context, so the caller's
     np.errstate holds in it. Once a chunk fails no further chunk starts;
@@ -118,12 +93,9 @@ def run_chunks(fn, count, dim):
     raised. A call made from inside a chunk runs its chunks inline.
     """
     spans = list(chunks(count, dim))
-    threads = _worker_count()
-    width = min(threads, len(spans))
+    width = min(_worker_count(), len(spans))
     if width <= 1 or getattr(_local, "worker", False):
         return [fn(lo, hi) for lo, hi in spans]
-    from concurrent.futures import wait
-
     context = contextvars.copy_context()
     results, failures = [None] * len(spans), {}
     lock, todo = threading.Lock(), iter(range(len(spans)))
@@ -147,12 +119,17 @@ def run_chunks(fn, count, dim):
 
     # chunk 0 is the caller's before any helper can take it
     first = claim()
-    pool = _executor(threads - 1)
-    helpers = [pool.submit(lambda: drain(claim())) for _ in range(width - 1)]
+    helpers = []
     try:
+        for _ in range(width - 1):
+            helper = threading.Thread(target=lambda: drain(claim()),
+                                      name="steinrule-chunk")
+            helper.start()
+            helpers.append(helper)
         drain(first)
     finally:
-        wait(helpers)
+        for helper in helpers:
+            helper.join()
     if failures:
         raise failures[min(failures)]
     return results
@@ -223,6 +200,7 @@ def uniforms(seed, count, dim, stream=0, start=0):
     uniforms(s, a, d)[i] == uniforms(s, 1, d, start=i)[0] bit for bit,
     for any batching of the index range.
     """
+    start, dim = operator.index(start), operator.index(dim)
     stride = _block_stride(dim)
     key = np.array([_key(seed), stream], dtype=np.uint64)
     bg = np.random.Philox(key=key)

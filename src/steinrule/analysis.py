@@ -4,6 +4,7 @@ fit."""
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -304,6 +305,9 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     stays flat in B and the results do not depend on the thread count.
     More than 10 B redraws aborts.
     """
+    if isinstance(B, bool) or not isinstance(B, numbers.Integral):
+        raise DataError(f"B must be an integer, got {B!r}")
+    B, seed = int(B), _rng._key(seed)
     if B < 100:
         raise DataError(f"need at least 100 replications, got B={B}")
     defs = [_as_def(s) for s in (specs if specs is not None else [None])]

@@ -53,14 +53,14 @@ class SimConfig:
             value = getattr(self, key)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigError(f"{key} must be an integer, got {value!r}")
+            setattr(self, key, int(value))
         try:
             _rng._key(self.seed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
         if not self.n > self.k >= 2:
             raise ConfigError(f"need n > k >= 2, got n={self.n}, k={self.k}")
-        _real("sigma", self.sigma)
-        _real("rho", self.rho)
+        self.sigma, self.rho = _real("sigma", self.sigma), _real("rho", self.rho)
         if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
         if self.replications < 100:

@@ -336,6 +336,16 @@ class TestBootstrapEfficiency:
         with pytest.raises(ValueError):
             bootstrap_efficiency(smoke_model, B=50, seed=0)
 
+    @pytest.mark.parametrize("B", [150.0, True])
+    def test_non_integer_b_is_refused(self, smoke_model, B):
+        with pytest.raises(DataError, match=f"B must be an integer, got {B!r}"):
+            bootstrap_efficiency(smoke_model, B=B, seed=0)
+
+    def test_numpy_integer_arguments_match_int(self, smoke_model):
+        report = bootstrap_efficiency(smoke_model, B=np.int64(200), seed=np.int64(3))
+        assert (type(report.bootstrap_replications), type(report.seed)) == (int, int)
+        assert report.to_json() == bootstrap_efficiency(smoke_model, B=200, seed=3).to_json()
+
     def test_reserved_name(self, smoke_model):
         with pytest.raises(ValueError):
             bootstrap_efficiency(
@@ -408,12 +418,12 @@ class TestBootstrapEfficiency:
         child = ctx.Process(target=lambda: send.send(
             bootstrap_efficiency(data, B=5000, seed=1).to_json()))
         with warnings.catch_warnings():
-            # newer Pythons warn that the parent's pool threads exist
+            # on Python 3.12+ os.fork warns when the parent runs other OS
+            # threads, OpenBLAS's among them
             warnings.simplefilter("ignore", DeprecationWarning)
             child.start()
         try:
-            # a child that used the parent's pool would wait on threads
-            # it does not have
+            # a child that waited on a thread of its parent's would hang
             assert recv.poll(60), "the forked child sent no report"
             assert recv.recv() == report
         finally:

@@ -29,9 +29,8 @@ def test_import_loads_no_heavy_scipy_subpackage():
 
 
 def test_import_starts_no_thread():
-    # the chunk runner's thread pool is made on first use. scipy already
-    # loads concurrent.futures through numpy.testing; the executor's own
-    # module must wait for the pool
+    # the chunk runner starts its helper threads per call. scipy already
+    # loads concurrent.futures through numpy.testing, but not its executor
     out = _fresh("import sys, threading, steinrule; "
                  "print(threading.active_count(), "
                  "'concurrent.futures.thread' in sys.modules)")

@@ -71,6 +71,17 @@ class TestStreamAddressing:
         assert _rng.uniforms(2**64 - 1, 3, 2).shape == (3, 2)
         _rng.spawn_seed(np.uint32(2**32 - 1), 0)
 
+    def test_numpy_integer_index_matches_int(self):
+        np.testing.assert_array_equal(_rng.uniforms(0, 3, 2, start=np.int64(0)),
+                                      _rng.uniforms(0, 3, 2))
+        np.testing.assert_array_equal(
+            _rng.uniforms(7, 3, np.int64(5), start=np.int64(4)),
+            _rng.uniforms(7, 3, 5, start=4))
+        m = random_moments(3, 36)
+        for a, b in zip(sample_joint_gaussian(m, 10, 0, start=np.int64(5)),
+                        sample_joint_gaussian(m, 10, 0, start=5)):
+            np.testing.assert_array_equal(a, b)
+
     @pytest.mark.parametrize("rows", [1, 2, 3, 7, 100])
     def test_chunks_tile_without_a_lone_row(self, monkeypatch, rows):
         # one-row batches take BLAS's matrix-vector kernel, so no chunk may
@@ -98,7 +109,7 @@ class TestStreamAddressing:
 
 
 class TestRunChunks:
-    """_rng.run_chunks, with the CPU count it sizes its pool by patched in."""
+    """_rng.run_chunks, with the CPU count it sizes its threads by patched in."""
 
     @staticmethod
     def _setup(monkeypatch, threads, rows=7):
@@ -175,44 +186,38 @@ class TestRunChunks:
 
     def test_nested_call_completes(self, monkeypatch):
         spans = self._setup(monkeypatch, 2)
-        out, pools = [], []
-        executor = _rng._executor
-        monkeypatch.setattr(_rng, "_executor",
-                            lambda threads: pools.append(threads) or executor(threads))
+        out, started = [], []
+        start = threading.Thread.start
+        monkeypatch.setattr(threading.Thread, "start",
+                            lambda thread: started.append(thread.name) or start(thread))
 
         def outer(lo, hi):
             time.sleep(0.005)   # so that every thread takes outer chunks
             return sum(_rng.run_chunks(lambda a, b: b - a, 100, 8))
 
-        # nested chunks run inline, never on the pool: queued behind the
-        # pool's own threads they would never start
+        # nested chunks run inline and start no thread: helpers of their
+        # own would put W * W threads on W CPUs
         caller = threading.Thread(
             target=lambda: out.append(_rng.run_chunks(outer, 100, 8)), daemon=True)
         caller.start()
         caller.join(30)
         assert not caller.is_alive()
         assert out == [[100] * len(spans)]
-        assert pools == [1]
+        assert started == [caller.name, "steinrule-chunk"]
 
     def test_caller_runs_the_first_chunk_when_helpers_start_first(
             self, monkeypatch):
-        # a caller descheduled just after it submits the helpers, as on a
+        # a caller descheduled just after it starts each helper, as on a
         # loaded machine: the helpers could drain every chunk before it
         # looks for one, unless chunk 0 is its own before they start
         spans = self._setup(monkeypatch, 8)
-        executor = _rng._executor
+        start = threading.Thread.start
 
-        class Stalled:
-            def __init__(self, pool):
-                self._pool = pool
+        def stalled(thread):
+            start(thread)
+            time.sleep(0.01)
 
-            def submit(self, fn):
-                future = self._pool.submit(fn)
-                time.sleep(0.01)
-                return future
-
-        monkeypatch.setattr(_rng, "_executor",
-                            lambda threads: Stalled(executor(threads)))
+        monkeypatch.setattr(threading.Thread, "start", stalled)
         owners = {}
 
         def fn(lo, hi):
@@ -222,6 +227,14 @@ class TestRunChunks:
         assert _rng.run_chunks(fn, 100, 8) == spans
         assert owners[0] == threading.get_ident()
         assert sorted(owners) == list(range(len(spans)))
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        spans = self._setup(monkeypatch, 2)
+        before = threading.active_count()
+        assert _rng.run_chunks(lambda lo, hi: (lo, hi), 100, 8) == spans
+        assert threading.active_count() == before
+        assert [t.name for t in threading.enumerate()
+                if t.name.startswith("steinrule-chunk")] == []
 
 
 class TestPool:

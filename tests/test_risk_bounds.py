@@ -492,6 +492,10 @@ class TestStreamedSuites:
                                           ("lhs", "rhs", "slack", "tolerance"))
                 for r in reports]
 
+    def test_numpy_integer_count_matches_int(self):
+        assert (self._bits(default_bound_suite(count=np.int64(20_000), seed=0))
+                == self._bits(default_bound_suite(count=20_000, seed=0)))
+
     def test_suite_does_not_depend_on_the_thread_count(self, monkeypatch):
         count = 3 * _rng.chunk_rows(6) + 17
         runs = []
@@ -517,12 +521,12 @@ class TestStreamedSuites:
         child = ctx.Process(target=lambda: send.send(
             self._bits(default_bound_suite(count=count, seed=0))))
         with warnings.catch_warnings():
-            # newer Pythons warn that the parent's pool threads exist
+            # on Python 3.12+ os.fork warns when the parent runs other OS
+            # threads, OpenBLAS's among them
             warnings.simplefilter("ignore", DeprecationWarning)
             child.start()
         try:
-            # a child that used the parent's pool would wait on threads
-            # it does not have
+            # a child that waited on a thread of its parent's would hang
             assert recv.poll(60), "the forked child sent no reports"
             assert recv.recv() == reports
         finally:

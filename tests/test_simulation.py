@@ -134,6 +134,16 @@ class TestSimConfig:
         again = SimConfig.from_json(cfg.to_json_dict())
         assert again.to_json_dict() == cfg.to_json_dict()
 
+    def test_numpy_scalars_are_stored_as_python_numbers(self, tmp_path):
+        cfg = base_config(n=np.int64(15), k=np.int64(3), replications=np.int64(500),
+                          seed=np.int64(7), sigma=np.float32(0.5), rho=np.float32(0.6))
+        assert [type(getattr(cfg, key)) for key in
+                ("n", "k", "replications", "seed", "sigma", "rho")] == [int] * 4 + [float] * 2
+        out = tmp_path / "sweep.csv"
+        run_sweep(cfg).to_csv(out)
+        meta = json.loads((tmp_path / "sweep.csv.meta.json").read_text())
+        assert SimConfig.from_json(meta["config"]).to_json_dict() == cfg.to_json_dict()
+
     @pytest.mark.parametrize("written, spec, encoded", [
         ("dirac-at-one", EllipticalSpec.dirac(), "dirac-at-one"),
         (None, EllipticalSpec.dirac(), "dirac-at-one"),
@@ -213,6 +223,12 @@ class TestSimConfig:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("key", ["n", "k", "replications"])
+    def test_numpy_integer_config_matches_int(self, key):
+        cfg = base_config()
+        again = base_config(**{key: np.int64(getattr(cfg, key))})
+        assert run_sweep(again).rows == run_sweep(cfg).rows
+
     def test_row_grid(self):
         cfg = base_config(estimators=(spsl(), EstimatorDef("base", HFunction.zero(), 0.0)))
         res = run_sweep(cfg)
@@ -479,12 +495,12 @@ class TestStreamedCell:
         recv, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=lambda: send.send(self._sweeps(500)))
         with warnings.catch_warnings():
-            # newer Pythons warn that the parent's pool threads exist
+            # on Python 3.12+ os.fork warns when the parent runs other OS
+            # threads, OpenBLAS's among them
             warnings.simplefilter("ignore", DeprecationWarning)
             child.start()
         try:
-            # a child that used the parent's pool would wait on threads
-            # it does not have
+            # a child that waited on a thread of its parent's would hang
             assert recv.poll(60), "the forked child sent no rows"
             assert recv.recv() == rows
         finally:
