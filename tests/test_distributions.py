@@ -11,6 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import gammaincinv
 
 from steinrule import (
     DivergentMomentError,
@@ -25,6 +26,7 @@ from steinrule import (
     sample_joint_singular,
 )
 from steinrule import _rng
+from steinrule.distributions import _gamma_quantile
 
 
 def random_moments(k, seed, gamma_scale=1.0):
@@ -319,6 +321,33 @@ class TestEllipticalSpec:
         assert draws.min() > 0
         assert draws.mean() == pytest.approx(1.0, abs=0.02)
         assert np.mean(1.0 / draws) == pytest.approx(5.0 / 3.0, abs=0.05)
+        u = _rng.uniforms(11, 50_000, 1, stream=_rng.STREAM_MIXING)[:, 0]
+        np.testing.assert_allclose(draws, gammaincinv(2.5, u) / 2.5, rtol=5e-14, atol=0)
+
+    @pytest.mark.parametrize("nu", [2.02, 3.0, 5.0, 7.5, 30.0, 1e4])
+    def test_gamma_quantile_matches_root_finding(self, nu):
+        powers = 2.0 ** -np.arange(1, 54)
+        u = np.concatenate([powers, 1.0 - powers,
+                            np.random.default_rng(61).random(20_000)])
+        a = nu / 2.0
+        np.testing.assert_allclose(_gamma_quantile(a, u), gammaincinv(a, u),
+                                   rtol=5e-14, atol=0)
+
+    def test_gamma_quantile_of_a_zero_uniform_is_positive(self):
+        # Generator.random can emit 0, whose exact quantile is 0: a draw
+        # divided by its square root would be infinite
+        x = _gamma_quantile(2.5, np.array([0.0, 2.0 ** -53]))
+        assert np.all(np.isfinite(x)) and np.all(x > 0)
+
+    @pytest.mark.parametrize("spec", [EllipticalSpec.gamma_mixture(5.0),
+                                      EllipticalSpec.two_point(0.5, 2.0, 0.3)])
+    @pytest.mark.parametrize("cuts", [[1, 3, 500, 999], [2, 4, 7, 13, 601],
+                                      [333, 334, 998]])
+    def test_mixing_draws_do_not_depend_on_the_batch(self, spec, cuts):
+        bounds = [0, *cuts, 1000]
+        parts = [spec.mixing_draws(13, hi - lo, start=lo)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        np.testing.assert_array_equal(np.concatenate(parts), spec.mixing_draws(13, 1000))
 
     def test_two_point_draw_frequencies(self):
         spec = EllipticalSpec.two_point(0.5, 2.0, 0.25)

@@ -357,6 +357,13 @@ class TestDefaultSuite:
         with pytest.raises(ValueError, match="at least 2 draws"):
             default_bound_suite(count=1)
 
+    @pytest.mark.parametrize("count", [20_000.0, True])
+    @pytest.mark.parametrize("suite", [default_bound_suite,
+                                       lambda count: bound_suite(count, 0)])
+    def test_non_integer_count_is_refused(self, suite, count):
+        with pytest.raises(ValueError, match=f"must be an integer, got {count!r}"):
+            suite(count=count)
+
 
 class TestStreamedSuites:
     SEED = 53
