@@ -5,7 +5,7 @@ import numpy as np
 
 # relative eigenvalue cutoff separating factor rank from float noise
 RANK_TOL = 1e-10
-# eigenvalues above -PSD_TOL * trace count as nonnegative and are clipped
+# psd_eigh takes eigenvalues above -PSD_TOL * max(trace, 1) as float noise
 PSD_TOL = 1e-8
 DIAG = "diag"
 
@@ -94,10 +94,12 @@ class JointMoments:
 
     U1 has mean 0 and covariance A, U2 has mean gamma and covariance Phi,
     with cross-covariance Sigma. Everything downstream works through the
-    covariance of the difference, Xi = A - Sigma - Sigma' + Phi, via a
-    factor P (k x q, Xi = P P'): R = P'P, the factor coordinates
-    Z = P^- (U1 - U2) with mean mu = -P^- gamma, psi0 the smallest
-    eigenvalue of R and psi1 the largest singular value of P.
+    covariance of the difference, Xi = A - Sigma - Sigma' + Phi, singular
+    or not. Its one eigendecomposition has q eigenpairs (lambda, V) above
+    RANK_TOL times the largest; taken largest first, they give the factor
+    P = V Lambda^(1/2) (k x q, Xi = P P'), P+ = Lambda^(-1/2) V',
+    R = P'P = diag(lambda), the factor coordinates Z = P+ (U1 - U2) with
+    mean mu = -P+ gamma, psi0 = min lambda and psi1 = sqrt(max lambda).
     """
 
     def __init__(self, gamma, A, Sigma, Phi):
@@ -112,48 +114,36 @@ class JointMoments:
                 raise MomentConsistencyError(
                     f"{name} has shape {M.shape}, expected ({k}, {k})"
                 )
-        if not np.isfinite(gamma).all():
-            raise MomentConsistencyError("gamma must be finite")
+        for name, M in (("gamma", gamma), ("A", A), ("Sigma", Sigma), ("Phi", Phi)):
+            if M.size == 0 or not np.isfinite(M).all():
+                raise MomentConsistencyError(f"{name} must be nonempty and finite")
         for name, M in (("A", A), ("Phi", Phi)):
-            _check_symmetric_psd(name, M)
+            if np.abs(M - M.T).max() > 1e-10 * max(np.abs(M).max(), 1.0):
+                raise MomentConsistencyError(f"{name} is not symmetric")
+            psd_eigh(name, M)
 
         Xi = A - Sigma - Sigma.T + Phi
         Xi = 0.5 * (Xi + Xi.T)
-        w = np.linalg.eigvalsh(Xi)
-        scale = max(w[-1], 0.0)
-        if w[0] < -PSD_TOL * max(np.trace(Xi), 1.0):
-            raise MomentConsistencyError(
-                f"difference covariance has eigenvalue {w[0]:.3e} below tolerance"
-            )
-        if scale > 0 and w[0] > scale / 1e12:
-            # nonsingular: Cholesky factor, q = k
-            P = np.linalg.cholesky(Xi)
-            self.q = k
-        else:
-            # rank-revealing factor from the eigendecomposition
-            vals, vecs = np.linalg.eigh(Xi)
-            keep = vals > RANK_TOL * scale
-            if not keep.any():
-                raise MomentConsistencyError("difference covariance is zero")
-            order = np.argsort(vals[keep])[::-1]
-            P = (vecs[:, keep] * np.sqrt(vals[keep]))[:, order]
-            self.q = int(keep.sum())
-
-        R = P.T @ P
-        self._P_pinv = np.linalg.pinv(P)
+        vals, vecs = psd_eigh("difference covariance", Xi)
+        keep = vals > RANK_TOL * max(vals[-1], 0.0)
+        if not keep.any():
+            raise MomentConsistencyError("difference covariance is zero")
+        lam, V = vals[keep][::-1], vecs[:, keep][:, ::-1]
+        root = np.sqrt(lam)
+        self._to_coords = V / root
         self.gamma = gamma
         self.A = A
         self.Sigma = Sigma
         self.Phi = Phi
         self.Xi = Xi
-        self.P = P
-        self.R = 0.5 * (R + R.T)
-        self.mu = -self._P_pinv @ gamma
+        self.P = V * root
+        self.R = np.diag(lam)
+        self.mu = -(gamma @ self._to_coords)
         self.k = k
-        rw = np.linalg.eigvalsh(self.R)
-        self.psi0 = float(rw[0])
-        self.psi1 = float(np.sqrt(rw[-1]))
-        for a in (gamma, A, Sigma, Phi, Xi, P, self.R, self.mu):
+        self.q = len(lam)
+        self.psi0 = float(lam[-1])
+        self.psi1 = float(root[0])
+        for a in (gamma, A, Sigma, Phi, Xi, self.P, self.R, self.mu):
             a.setflags(write=False)
 
     @classmethod
@@ -166,14 +156,11 @@ class JointMoments:
         return float(np.trace(self.A))
 
     def factor_coords(self, diffs):
-        """Map difference rows (m, k) to factor coordinates Z (m, q).
-
-        Exact solve of P Z = diff when the factor has full rank; in the
-        singular case a least-squares solve, valid because differences live
-        in range(P) almost surely.
-        """
+        """Map difference rows (m, k) to factor coordinates Z (m, q) by the
+        pseudo-inverse, Z = diffs V Lambda^(-1/2): exact on range(P), where
+        differences live almost surely, also when P is singular."""
         diffs = np.atleast_2d(np.asarray(diffs, dtype=float))
-        return diffs @ self._P_pinv.T
+        return diffs @ self._to_coords
 
 
 def fit_ols(model):
@@ -270,10 +257,12 @@ def joint_moments_restricted(model, restriction, beta_true):
         model.sigma, beta_true)
 
 
-def _check_symmetric_psd(name, M):
-    scale = max(np.abs(M).max(), 1.0)
-    if np.abs(M - M.T).max() > 1e-10 * scale:
-        raise MomentConsistencyError(f"{name} is not symmetric")
-    w = np.linalg.eigvalsh(0.5 * (M + M.T))
-    if w[0] < -PSD_TOL * max(np.trace(M), 1.0):
-        raise MomentConsistencyError(f"{name} has eigenvalue {w[0]:.3e} below tolerance")
+def psd_eigh(name, M):
+    """eigh of the symmetric part of the covariance M, values ascending;
+    an eigenvalue below -PSD_TOL * max(trace M, 1) raises
+    MomentConsistencyError naming M as name."""
+    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
+    if vals[0] < -PSD_TOL * max(np.trace(M), 1.0):
+        raise MomentConsistencyError(
+            f"{name} has eigenvalue {vals[0]:.3e} below tolerance")
+    return vals, vecs

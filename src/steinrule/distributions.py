@@ -26,7 +26,7 @@ from scipy.special import (
 )
 
 from . import _rng
-from .core_model import PSD_TOL, Competitor, MomentConsistencyError
+from .core_model import Competitor, psd_eigh
 
 DIRAC_AT_ONE = "dirac-at-one"
 GAMMA_MIXTURE = "gamma-mixture"
@@ -165,15 +165,11 @@ MIXING_KINDS = {
 def joint_map(m):
     """The map from rows g of 2k standard normals, each already scaled by
     its z^(-1/2) under a scale mixture, to draws of (U1, U2): U = g L' about
-    the mean (0, gamma), with L L' the joint covariance of (U1, U2). The
+    the mean (0, gamma), L = V Lambda^(1/2) from core_model.psd_eigh of the
+    joint covariance of (U1, U2), noise eigenvalues below 0 clipped. The
     samplers and the bound suite's shared draws all go through it."""
     C = np.block([[m.A, m.Sigma], [m.Sigma.T, m.Phi]])
-    C = 0.5 * (C + C.T)
-    vals, vecs = np.linalg.eigh(C)
-    if vals[0] < -PSD_TOL * max(np.trace(C), 1.0):
-        raise MomentConsistencyError(
-            f"joint covariance has eigenvalue {vals[0]:.3e} below tolerance"
-        )
+    vals, vecs = psd_eigh("joint covariance", C)
     L = vecs * np.sqrt(np.clip(vals, 0.0, None))
 
     def draws(g):
@@ -219,6 +215,12 @@ def sample_joint_singular(model, restriction, beta_true, sigma, count, seed, sta
     return U1, comp.fit(beta_true + U1) - beta_true
 
 
+def _check_noncentrality(name, value):
+    if not (np.isfinite(value) and value >= 0):
+        raise ValueError(f"noncentrality {name} must be finite and nonnegative, "
+                         f"got {value}")
+
+
 def inv_chisq_mean(k, lam):
     """Mean of the inverse noncentral chi-square with k degrees of freedom
     and noncentrality lam, in closed form (Bock, Judge and Yancey 1984):
@@ -227,8 +229,7 @@ def inv_chisq_mean(k, lam):
     """
     if k <= 2:
         raise DivergentMomentError(f"inverse mean needs k >= 3, got k={k}")
-    if lam < 0:
-        raise ValueError(f"noncentrality must be nonnegative, got {lam}")
+    _check_noncentrality("lam", lam)
     return float(hyp1f1(1.0, k / 2.0, -lam / 2.0)) / (k - 2)
 
 
@@ -242,6 +243,7 @@ def elliptical_inv_quadnorm_mean(spec, k, mu_sq=0.0):
     """
     if k <= 2:
         raise DivergentMomentError(f"inverse quadratic mean needs k >= 3, got k={k}")
+    _check_noncentrality("mu_sq", mu_sq)
     if spec.kind == DIRAC_AT_ONE:
         return inv_chisq_mean(k, mu_sq)
     if spec.kind == TWO_POINT_MIXTURE:

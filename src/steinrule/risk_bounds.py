@@ -326,15 +326,18 @@ def _singular_form(m, h, Lambda):
     Lambda^(1/2) idempotent and fixing the bias, and h bounded (every
     weight is a function of the difference only)."""
     Lambda = np.asarray(Lambda, dtype=float)
+    if not np.isfinite(Lambda).all():
+        raise ValueError("Lambda must be finite")
     vals, vecs = np.linalg.eigh(0.5 * (Lambda + Lambda.T))
     if vals[0] <= 0:
         raise ValueError("Lambda must be symmetric positive definite")
     root = (vecs * np.sqrt(vals)) @ vecs.T
     half_form = root @ m.Xi @ root
-    if np.abs(half_form @ half_form - half_form).max() > 1e-8:
+    # written as "not err <= tol" so that a NaN error fails the test
+    if not np.abs(half_form @ half_form - half_form).max() <= 1e-8:
         raise ValueError("Lambda^(1/2) Xi Lambda^(1/2) is not idempotent")
     LXL = Lambda @ m.Xi @ Lambda
-    if np.abs(LXL @ m.gamma - Lambda @ m.gamma).max() > 1e-8:
+    if not np.abs(LXL @ m.gamma - Lambda @ m.gamma).max() <= 1e-8:
         raise ValueError("Lambda Xi Lambda does not fix the bias under Lambda")
     if not (np.isfinite(h.q0) and h.q0 > 0):
         raise ValueError("weight needs a finite positive bound constant")
@@ -387,8 +390,7 @@ def _elliptical_terms(d):
 
 def _elliptical_reports(m, cap, inv_zz, omega):
     (inv_zz_hat, se_zz), (omega_hat, se_om) = inv_zz, omega
-    rw = np.linalg.eigvalsh(m.R)
-    lam_min, lam_max = float(rw[0]), float(rw[-1])
+    lam_min, lam_max = m.psi0, m.psi1 ** 2
     r_cap = BoundReport.compare("elliptical-inverse-norm-cap",
                                 inv_zz_hat, cap, 3.0 * se_zz)
     r_lo = BoundReport.compare("omega-sandwich-lower",
@@ -417,7 +419,7 @@ def identity_instance(k=3):
 def biased_instance(k=3, gamma_norm=1.0):
     """Identity blocks with the competitor biased along the first axis."""
     gamma = np.zeros(k)
-    gamma[0] = gamma_norm
+    gamma[:1] = gamma_norm
     eye = np.eye(k)
     return JointMoments.from_covariances(gamma, eye, np.zeros((k, k)), eye)
 

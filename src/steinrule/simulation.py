@@ -275,11 +275,11 @@ def generate_design(n, k, rho, seed):
     m = k - 1
     corr = np.full((m, m), float(rho))
     np.fill_diagonal(corr, 1.0)
-    w = np.linalg.eigvalsh(corr)
-    if w[0] <= 0:
-        raise ConfigError(
-            f"equicorrelation with rho={rho} is not positive definite for k={k}")
-    factor = np.linalg.cholesky(corr)
+    try:
+        factor = np.linalg.cholesky(corr)
+    except np.linalg.LinAlgError:
+        raise ConfigError(f"equicorrelation with rho={rho} is not positive "
+                          f"definite for k={k}") from None
     g = _rng.normals(seed, n, m, stream=_rng.STREAM_NOISE)
     X = np.empty((n, k))
     X[:, 0] = 1.0

@@ -18,6 +18,7 @@ from steinrule import (
 )
 from steinrule import _rng
 from steinrule.core_model import restriction_projection
+from steinrule.distributions import joint_map
 
 
 def random_model(n, k, sigma, seed, beta=None):
@@ -253,6 +254,69 @@ class TestJointMomentsContainer:
         with pytest.raises(ValueError):
             JointMoments.from_covariances(
                 np.zeros(3), np.eye(3), np.zeros((3, 3)), np.eye(2))
+
+    @pytest.mark.parametrize("block,bad", [
+        ("A", np.full((3, 3), np.nan)),
+        ("Sigma", np.full((3, 3), np.inf)),
+        ("Phi", np.diag([1.0, 1.0, np.inf])),
+        ("gamma", np.array([0.0, np.nan, 0.0])),
+    ])
+    def test_rejects_non_finite_block_by_name(self, block, bad):
+        blocks = {"gamma": np.zeros(3), "A": np.eye(3), "Sigma": np.zeros((3, 3)),
+                  "Phi": np.eye(3)}
+        blocks[block] = bad
+        with pytest.raises(MomentConsistencyError,
+                           match=f"^{block} must be nonempty and finite$"):
+            JointMoments.from_covariances(**blocks)
+
+    def test_rejects_empty_blocks(self):
+        with pytest.raises(MomentConsistencyError, match="^gamma must be nonempty"):
+            JointMoments.from_covariances(
+                np.zeros(0), np.eye(0), np.zeros((0, 0)), np.eye(0))
+
+    @pytest.mark.parametrize("ratio,q", [(1e-9, 3), (1e-11, 2), (1e-13, 2)])
+    def test_rank_follows_the_relative_cutoff_alone(self, ratio, q):
+        # Xi = Phi = diag(1, ratio, 1): an eigenvalue at or below RANK_TOL
+        # times the largest leaves the factor, however Xi is conditioned
+        zero = np.zeros((3, 3))
+        m = JointMoments.from_covariances(
+            np.zeros(3), zero, zero, np.diag([1.0, ratio, 1.0]))
+        assert m.q == q
+        assert m.P.shape == (3, q)
+
+    @pytest.mark.parametrize("seed,rank", [(20, 4), (21, 2)])
+    def test_single_factor_structure(self, seed, rank):
+        # R = P'P is diagonal, largest first; the columns of P map to the
+        # unit vectors of the factor coordinates; psi0 and psi1 read R
+        k = 4
+        rng = np.random.default_rng(seed)
+        B = rng.normal(size=(k, rank))
+        m = JointMoments.from_covariances(
+            rng.normal(size=k), B @ B.T, np.zeros((k, k)), np.zeros((k, k)))
+        assert m.q == rank
+        np.testing.assert_allclose(m.P @ m.P.T, m.Xi, atol=1e-12)
+        lam = np.diag(m.R)
+        np.testing.assert_array_equal(m.R, np.diag(lam))
+        assert np.all(np.diff(lam) <= 0)
+        np.testing.assert_allclose(m.R, m.P.T @ m.P, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(m.factor_coords(m.P.T), np.eye(rank), atol=1e-12)
+        assert m.psi0 == lam[-1]
+        assert m.psi1 == np.sqrt(lam[0])
+
+    def test_joint_map_and_moments_refuse_alike(self):
+        # A is indefinite for JointMoments; for joint_map the blocks are
+        # PSD one by one and Xi = 6 I, but the joint covariance is not
+        k = 2
+        eye = np.eye(k)
+        with pytest.raises(MomentConsistencyError) as moments_err:
+            JointMoments.from_covariances(np.zeros(k), np.diag([1.0, -1.0]),
+                                          np.zeros((k, k)), eye)
+        m = JointMoments.from_covariances(np.zeros(k), eye, -2.0 * eye, eye)
+        with pytest.raises(MomentConsistencyError) as map_err:
+            joint_map(m)
+        assert str(moments_err.value) == "A has eigenvalue -1.000e+00 below tolerance"
+        assert str(map_err.value) == (
+            "joint covariance has eigenvalue -1.000e+00 below tolerance")
 
 
 class TestJointMomentsDiag:

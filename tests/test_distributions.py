@@ -520,8 +520,25 @@ class TestInvChisqMean:
         with pytest.raises(ValueError):
             inv_chisq_mean(5, -1.0)
 
+    @pytest.mark.parametrize("lam", [np.nan, np.inf])
+    def test_non_finite_noncentrality_raises(self, lam):
+        with pytest.raises(ValueError, match=f"noncentrality lam .* got {lam}$"):
+            inv_chisq_mean(5, lam)
+
 
 class TestEllipticalInvQuadnormMean:
+    @pytest.mark.parametrize("spec", [EllipticalSpec.dirac(),
+                                      EllipticalSpec.gamma_mixture(5.0),
+                                      EllipticalSpec.two_point(0.5, 2.0, 0.3)],
+                             ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("mu_sq", [-1.0, np.nan, np.inf])
+    def test_noncentrality_is_checked_once_for_every_kind(self, spec, mu_sq):
+        # the caller's argument is named with the value it gave, not a
+        # value scaled by a mixing atom
+        with pytest.raises(ValueError, match=(
+                f"^noncentrality mu_sq must be finite and nonnegative, got {mu_sq}$")):
+            elliptical_inv_quadnorm_mean(spec, 4, mu_sq)
+
     def test_dirac_reduces_to_chisq(self):
         assert elliptical_inv_quadnorm_mean(
             EllipticalSpec.dirac(), 5, 0.0) == pytest.approx(1 / 3)

@@ -4,6 +4,7 @@ import multiprocessing
 import sys
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from steinrule import (
     HFunction,
     JointMoments,
     LinearRestriction,
+    MomentConsistencyError,
     biased_instance,
     bound_suite,
     check_born1,
@@ -282,6 +284,25 @@ class TestSingularOmega:
         with pytest.raises(ValueError):
             check_singular_omega(m, H_INV, np.eye(m.k), *draws)
 
+    @pytest.mark.parametrize("Lambda", [np.diag([1.0, 1.0, 1.0, np.inf]),
+                                        np.full((4, 4), np.nan)])
+    def test_non_finite_shape_is_refused(self, Lambda):
+        model, restriction, beta, m = restricted_instance()
+        draws = sample_joint_singular(model, restriction, beta, 1.0, 1_000, 46)
+        with pytest.raises(ValueError, match="^Lambda must be finite$"):
+            check_singular_omega(m, H_INV, Lambda, *draws)
+
+    @pytest.mark.parametrize("Xi,gamma,what", [
+        (np.full((2, 2), np.nan), np.zeros(2), "not idempotent"),
+        (np.eye(2), np.array([np.nan, 0.0]), "does not fix the bias"),
+    ])
+    def test_nan_fails_the_projection_conditions(self, Xi, gamma, what):
+        # the conditions read only Xi and gamma; a NaN in either must fail
+        # them, not slip through a comparison that NaN makes False
+        stub = SimpleNamespace(Xi=Xi, gamma=gamma)
+        with pytest.raises(ValueError, match=what):
+            risk_bounds._singular_form(stub, H_INV, np.eye(2))
+
     def test_unbounded_weight_rejected(self):
         model, restriction, beta, m = restricted_instance()
         draws = sample_joint_singular(model, restriction, beta, 1.0, 1_000, 47)
@@ -363,6 +384,10 @@ class TestDefaultSuite:
     def test_non_integer_count_is_refused(self, suite, count):
         with pytest.raises(ValueError, match=f"must be an integer, got {count!r}"):
             suite(count=count)
+
+    def test_empty_dimension_is_refused_by_the_moments(self):
+        with pytest.raises(MomentConsistencyError, match="^gamma must be nonempty"):
+            bound_suite(1000, 0, k=0, mixing=(), restricted=None)
 
 
 class TestStreamedSuites:

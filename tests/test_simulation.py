@@ -67,6 +67,12 @@ class TestGenerateDesign:
         with pytest.raises(ConfigError):
             generate_design(10, 4, -0.9, 0)
 
+    @pytest.mark.parametrize("rho", [-0.5, 1.0])
+    def test_singular_equicorrelation_is_refused_by_name(self, rho):
+        with pytest.raises(ConfigError, match=(
+                f"equicorrelation with rho={rho} is not positive definite for k=4")):
+            generate_design(10, 4, rho, 0)
+
     def test_needs_a_slope_column(self):
         with pytest.raises(ConfigError):
             generate_design(10, 1, 0.0, 0)
