@@ -123,7 +123,9 @@ class JointMoments:
             psd_eigh(name, M)
 
         Xi = A - Sigma - Sigma.T + Phi
-        Xi = 0.5 * (Xi + Xi.T)
+        Xi = 0.5 * Xi + 0.5 * Xi.T
+        if not np.isfinite(Xi).all():
+            raise MomentConsistencyError("difference covariance must be finite")
         vals, vecs = psd_eigh("difference covariance", Xi)
         keep = vals > RANK_TOL * max(vals[-1], 0.0)
         if not keep.any():
@@ -259,10 +261,11 @@ def joint_moments_restricted(model, restriction, beta_true):
 
 def psd_eigh(name, M):
     """eigh of the symmetric part of the covariance M, values ascending;
-    an eigenvalue below -PSD_TOL * max(trace M, 1) raises
-    MomentConsistencyError naming M as name."""
-    vals, vecs = np.linalg.eigh(0.5 * (M + M.T))
-    if vals[0] < -PSD_TOL * max(np.trace(M), 1.0):
+    an eigenvalue below -PSD_TOL * max(trace M, 1), or a NaN one, raises
+    MomentConsistencyError naming M as name. Halves and the tolerance are
+    taken before the sums, so a finite M cannot overflow either."""
+    vals, vecs = np.linalg.eigh(0.5 * M + 0.5 * M.T)
+    if not vals[0] >= -max(np.trace(PSD_TOL * M), PSD_TOL):
         raise MomentConsistencyError(
             f"{name} has eigenvalue {vals[0]:.3e} below tolerance")
     return vals, vecs

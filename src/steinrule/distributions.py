@@ -133,14 +133,15 @@ class EllipticalSpec:
             return 1.0
         return self.w * self.z1 + (1.0 - self.w) * self.z2
 
-    def mixing_draws(self, seed, count, stream=_rng.STREAM_MIXING, start=0):
+    def mixing_draws(self, seed, count, start=0):
         """One mixing value per sample, one uniform consumed per draw, draws
         addressed by index as the normals are. A gamma draw is the tabulated
         Gamma(nu/2) quantile of its uniform after one Halley step, divided
         by nu/2; it matches gammaincinv's root to within 5e-14 relative."""
         if self.kind == DIRAC_AT_ONE:
             return np.ones(count)
-        u = _rng.uniforms(seed, count, 1, stream=stream, start=start)[:, 0]
+        u = _rng.uniforms(seed, count, 1, stream=_rng.STREAM_MIXING,
+                          start=start)[:, 0]
         if self.kind == GAMMA_MIXTURE:
             half = self.nu / 2.0
             return _gamma_quantile(half, u) / half

@@ -94,27 +94,24 @@ def _reduce(rows):
     return _rng.mean_se([_rng.moments(rows)])
 
 
-# One instance's checks in a suite pass. draws(normals, lo, hi) gives the
-# _Draws of an index range, shared by every section of an equal key, with
-# normals the chunk's cache of standard normals; k is the dimension of U1;
-# terms(d) gives the per-draw rows and reports(stats, count) the reports
-# from the rows' (mean, se).
-_Section = namedtuple("_Section", "key draws k terms reports")
+# One instance's checks in a suite pass. draws(normals, seed, lo, hi) gives
+# the _Draws of an index range, shared by every section of an equal key,
+# with normals the chunk's cache of standard normals; terms(d) gives the
+# per-draw rows and reports(stats, count) the reports from their (mean, se).
+_Section = namedtuple("_Section", "key draws terms reports")
 
 
-def _stream(sections, count):
-    """Each section's reports from one pass over count draws, tiled once by
-    _rng.chunks(count, 2k). Per chunk each key draws once, and each section
-    reduces its rows to a part before the next builds its own; the samplers
-    address draws by index, so the chunks concatenate to one big draw.
+def _stream(sections, count, k, seed):
+    """Each section's reports from one pass over count draws of seed, tiled
+    once by _rng.chunks(count, 2k). Per chunk each key draws once, and each
+    section reduces its rows to a part before the next builds its own; the
+    samplers address draws by index, so the chunks concatenate to one big
+    draw.
 
     The chunks run on _rng.run_chunks, one thread per CPU, and each
-    section pools its parts in chunk order, so the reports do not depend
-    on the thread count, nor on which other sections share the pass.
-    Re-chunking a section would change its bits, so sections with
-    different chunk ranges are refused."""
-    if len({_rng.chunk_rows(2 * s.k) for s in sections}) > 1:
-        raise ValueError("the sections of one pass need equal chunk ranges")
+    section pools its parts in chunk order, so a section's reports depend
+    on (count, k, seed) alone: not on the thread count, nor on which other
+    sections share the pass."""
     shared = {}
     for i, s in enumerate(sections):
         shared.setdefault(s.key, []).append(i)
@@ -122,27 +119,27 @@ def _stream(sections, count):
     def reduce_chunk(lo, hi):
         normals, parts = {}, [None] * len(sections)
         for members in shared.values():
-            d = sections[members[0]].draws(normals, lo, hi)
+            d = sections[members[0]].draws(normals, seed, lo, hi)
             for i in members:
                 parts[i] = _rng.moments(sections[i].terms(d))
         return parts
 
-    parts = _rng.run_chunks(reduce_chunk, count, 2 * sections[0].k)
+    parts = _rng.run_chunks(reduce_chunk, count, 2 * k)
     return [s.reports(_rng.mean_se(section_parts), count)
             for s, section_parts in zip(sections, zip(*parts))]
 
 
-def _joint(m, spec, seed):
+def _joint(m, spec):
     """Key and draws of (U1, U2) on m under the scale mixture spec, from the
-    chunk's 2k-wide normals, drawn once for all sections of seed and k."""
+    chunk's 2k-wide normals, drawn once for all sections of m's k."""
     to_draws = joint_map(m)
 
-    def draws(normals, lo, hi):
-        if (seed, m.k) not in normals:
-            normals[seed, m.k] = _rng.normals(seed, hi - lo, 2 * m.k,
-                                              stream=_rng.STREAM_NOISE, start=lo)
-        return _Draws(m, *to_draws(spec.scale(normals[seed, m.k], seed, lo)))
-    return ("joint", id(m), spec, seed), draws
+    def draws(normals, seed, lo, hi):
+        if m.k not in normals:
+            normals[m.k] = _rng.normals(seed, hi - lo, 2 * m.k,
+                                        stream=_rng.STREAM_NOISE, start=lo)
+        return _Draws(m, *to_draws(spec.scale(normals[m.k], seed, lo)))
+    return ("joint", id(m), spec), draws
 
 
 def _rowdot(a, b):
@@ -328,8 +325,8 @@ def _singular_form(m, h, Lambda):
     Lambda = np.asarray(Lambda, dtype=float)
     if not np.isfinite(Lambda).all():
         raise ValueError("Lambda must be finite")
-    vals, vecs = np.linalg.eigh(0.5 * (Lambda + Lambda.T))
-    if vals[0] <= 0:
+    vals, vecs = np.linalg.eigh(0.5 * Lambda + 0.5 * Lambda.T)
+    if not vals[0] > 0:
         raise ValueError("Lambda must be symmetric positive definite")
     root = (vecs * np.sqrt(vals)) @ vecs.T
     half_form = root @ m.Xi @ root
@@ -448,7 +445,7 @@ def _tag(report, label):
     return replace(report, name=f"{report.name}[{label}]")
 
 
-def gaussian_suite(m, label, seed):
+def gaussian_suite(m, label):
     """The section of every Gaussian-law check on one instance, tagged with
     label: the h-moment caps for the inverse-square-norm and
     smooth-inverse-2 weights, the windowed cross-term bounds, and the
@@ -476,18 +473,18 @@ def gaussian_suite(m, label, seed):
         out.append(_tag(_born2_report(m, 1.0, tail), f"{label}/alpha=1"))
         out.append(_tag(check_corinterm(m, moments["inverse-sq-norm"]), label))
         return out
-    return _Section(*_joint(m, EllipticalSpec.dirac(), seed), m.k, terms, reports)
+    return _Section(*_joint(m, EllipticalSpec.dirac()), terms, reports)
 
 
-def elliptical_suite(m, spec, label, seed):
+def elliptical_suite(m, spec, label):
     """The section of the elliptical caps under the scale mixture spec,
     tagged with label; q <= 2 is refused here, before anything is drawn."""
     cap = _elliptical_cap(m, spec)
-    return _Section(*_joint(m, spec, seed), m.k, _elliptical_terms, lambda stats, count:
+    return _Section(*_joint(m, spec), _elliptical_terms, lambda stats, count:
                     [_tag(rep, label) for rep in _elliptical_reports(m, cap, *stats)])
 
 
-def singular_suite(instance, label, seed):
+def singular_suite(instance, label):
     """The section of the singular-covariance caps on a restricted instance
     (model, restriction, beta_true, moments), with Lambda = A^-1 and the
     inverse-square-norm weight, on its own k-wide sample_joint_singular."""
@@ -495,10 +492,10 @@ def singular_suite(instance, label, seed):
     h = HFunction.inverse_sq_norm()
     LXL = _singular_form(ms, h, np.linalg.inv(ms.A))
 
-    def draws(normals, lo, hi):
+    def draws(normals, seed, lo, hi):
         return _Draws(ms, *sample_joint_singular(model, restriction, beta_true,
                                                  model.sigma, hi - lo, seed, lo))
-    return _Section(("singular", id(ms), seed), draws, ms.k,
+    return _Section(("singular", id(ms)), draws,
                     lambda d: _singular_terms(d, h, LXL), lambda stats, count:
                     [_tag(rep, label) for rep in _singular_reports(ms, h, LXL, *stats)])
 
@@ -511,26 +508,27 @@ def bound_suite(count, seed, k=3,
                 mixing=(EllipticalSpec.dirac(), EllipticalSpec.gamma_mixture(5.0)),
                 restricted=(4, 3)):
     """The bound suite as (section, reports) pairs from one pass over count
-    draws: Gaussian checks on the identity and biased instances of
-    dimension k, an elliptical section on the biased instance per mixing
-    law, and the singular caps on the (k, q) restricted instance unless
-    restricted is None. Every section is built before anything is drawn.
+    draws of seed, tiled by k: Gaussian checks on the identity and biased
+    instances of dimension k, an elliptical section on the biased instance
+    per mixing law, and the singular caps on the restricted instance
+    restricted = (rk, q) unless that is None. Every section is built
+    before anything is drawn.
     The strict elliptical cap runs on the biased instance: at zero bias
     the plain-Gaussian cap is an equality, which no finite-sample check
     can sit strictly below."""
     _need_two(count)
     biased = biased_instance(k)
-    sections = [("identity", gaussian_suite(identity_instance(k), "identity", seed)),
-                ("biased", gaussian_suite(biased, "biased", seed))]
+    sections = [("identity", gaussian_suite(identity_instance(k), "identity")),
+                ("biased", gaussian_suite(biased, "biased"))]
     for spec in mixing:
         label = "biased/" + _MIXING_LABELS[spec.kind].format(**vars(spec))
-        sections.append(("elliptical", elliptical_suite(biased, spec, label, seed)))
+        sections.append(("elliptical", elliptical_suite(biased, spec, label)))
     if restricted is not None:
         rk, q = restricted
         sections.append(("singular", singular_suite(restricted_instance(k=rk, q=q),
-                                                    f"restricted-q{q}", seed)))
+                                                    f"restricted-q{q}")))
     names, built = zip(*sections)
-    return list(zip(names, _stream(built, count)))
+    return list(zip(names, _stream(built, count, k, seed)))
 
 
 def default_bound_suite(count=10**6, seed=DEFAULT_SEED):

@@ -5,13 +5,13 @@ against the base estimator."""
 import json
 import math
 import numbers
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, astuple, dataclass, field, fields
 from typing import Optional, Union
 
 import numpy as np
 
 from . import _rng
-from .core_model import DIAG, Competitor, LinearRestriction, RestrictionError
+from .core_model import DIAG, RANK_TOL, Competitor, LinearRestriction, RestrictionError
 from .distributions import DIRAC_AT_ONE, MIXING_KINDS, EllipticalSpec
 from .shrinkage import (
     INVERSE_SQ_NORM,
@@ -66,11 +66,7 @@ class SimConfig:
         if self.replications < 100:
             raise ConfigError(
                 f"need at least 100 replications, got {self.replications}")
-        low = -1.0 / (self.k - 2) if self.k > 2 else -1.0
-        if not low < self.rho < 1.0:
-            raise ConfigError(
-                f"rho={self.rho} outside ({low:.4g}, 1), the positive-definite "
-                f"range for k={self.k}")
+        _check_equicorrelation(self.k, self.rho)
         self.beta_norms = _reals("beta_norms", self.beta_norms)
         if not self.beta_norms or any(b <= 0 for b in self.beta_norms):
             raise ConfigError("beta_norms must be a nonempty list of positive reals")
@@ -237,8 +233,7 @@ class SweepResult:
     rows: list
     metadata: dict
 
-    HEADER = ("cell_id,n,k,sigma,rho,beta_norm,gamma_norm,estimator,"
-              "rmse,rmse_se,replications,seed")
+    HEADER = ",".join(f.name for f in fields(SweepRow))
 
     def series(self, estimator):
         """Rows for one estimator, in cell order."""
@@ -246,15 +241,8 @@ class SweepResult:
 
     def to_csv(self, path):
         """Write the rows; run metadata goes to the JSON sidecar path.meta.json."""
-        lines = [self.HEADER]
-        for row in self.rows:
-            lines.append(",".join([
-                str(row.cell_id), str(row.n), str(row.k),
-                _fmt(row.sigma), _fmt(row.rho),
-                _fmt(row.beta_norm), _fmt(row.gamma_norm),
-                row.estimator, _fmt(row.rmse), _fmt(row.rmse_se),
-                str(row.replications), str(row.seed),
-            ]))
+        lines = [self.HEADER] + [",".join(map(_fmt, astuple(row)))
+                                 for row in self.rows]
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         with open(f"{path}.meta.json", "w") as fh:
@@ -263,7 +251,18 @@ class SweepResult:
 
 
 def _fmt(x):
-    return format(float(x), ".12g")
+    return format(x, ".12g") if isinstance(x, float) else str(x)
+
+
+def _check_equicorrelation(k, rho):
+    """Refuse rho unless the (k - 1)-square equicorrelation is positive
+    definite with room to spare: |rho| < 1 and the smaller of its
+    eigenvalues 1 - rho and 1 + (k - 2) rho above RANK_TOL times the
+    larger."""
+    low, high = sorted((1.0 - rho, 1.0 + (k - 2) * rho))
+    if not (abs(rho) < 1.0 and low > RANK_TOL * high):
+        raise ConfigError(f"equicorrelation with rho={rho} is not positive "
+                          f"definite for k={k}")
 
 
 def generate_design(n, k, rho, seed):
@@ -272,14 +271,11 @@ def generate_design(n, k, rho, seed):
     the seed; one design serves every replication of a cell."""
     if k < 2:
         raise ConfigError(f"need k >= 2 for a stochastic design, got k={k}")
+    _check_equicorrelation(k, rho)
     m = k - 1
     corr = np.full((m, m), float(rho))
     np.fill_diagonal(corr, 1.0)
-    try:
-        factor = np.linalg.cholesky(corr)
-    except np.linalg.LinAlgError:
-        raise ConfigError(f"equicorrelation with rho={rho} is not positive "
-                          f"definite for k={k}") from None
+    factor = np.linalg.cholesky(corr)
     g = _rng.normals(seed, n, m, stream=_rng.STREAM_NOISE)
     X = np.empty((n, k))
     X[:, 0] = 1.0

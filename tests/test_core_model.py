@@ -17,7 +17,7 @@ from steinrule import (
     sample_joint_singular,
 )
 from steinrule import _rng
-from steinrule.core_model import restriction_projection
+from steinrule.core_model import psd_eigh, restriction_projection
 from steinrule.distributions import joint_map
 
 
@@ -268,6 +268,29 @@ class TestJointMomentsContainer:
         with pytest.raises(MomentConsistencyError,
                            match=f"^{block} must be nonempty and finite$"):
             JointMoments.from_covariances(**blocks)
+
+    def test_finite_difference_near_the_float_maximum(self):
+        # Xi = 1e308 I + I is finite, though Xi + Xi' is not
+        k = 2
+        m = JointMoments.from_covariances(np.zeros(k), 1e308 * np.eye(k),
+                                          np.zeros((k, k)), np.eye(k))
+        assert m.q == 2
+        assert m.psi1 == 1e154
+
+    def test_rejects_overflowing_difference_by_name(self):
+        big = 1e308 * np.eye(2)
+        with np.errstate(over="ignore"), pytest.raises(
+                MomentConsistencyError, match="^difference covariance must be finite$"):
+            JointMoments.from_covariances(np.zeros(2), big, np.zeros((2, 2)), big)
+
+    def test_psd_check_sees_eigenvalues_near_the_float_maximum(self):
+        vals, _ = psd_eigh("A", 1e308 * np.eye(2))
+        np.testing.assert_array_equal(vals, [1e308, 1e308])
+        # the trace overflows, but the tolerance, 1e-8 of it, does not
+        with pytest.raises(MomentConsistencyError, match="^A has eigenvalue"):
+            psd_eigh("A", np.diag([1e308, 1e308, -1e305]))
+        with pytest.raises(MomentConsistencyError, match="^A has eigenvalue nan"):
+            psd_eigh("A", np.full((2, 2), np.nan))
 
     def test_rejects_empty_blocks(self):
         with pytest.raises(MomentConsistencyError, match="^gamma must be nonempty"):

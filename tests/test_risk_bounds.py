@@ -292,6 +292,14 @@ class TestSingularOmega:
         with pytest.raises(ValueError, match="^Lambda must be finite$"):
             check_singular_omega(m, H_INV, Lambda, *draws)
 
+    def test_indefinite_shape_near_the_float_maximum_is_refused(self):
+        # Lambda + Lambda' overflows, and a NaN eigenvalue must not pass
+        model, restriction, beta, m = restricted_instance()
+        draws = sample_joint_singular(model, restriction, beta, 1.0, 1_000, 46)
+        with pytest.raises(ValueError, match="^Lambda must be symmetric positive"):
+            check_singular_omega(m, H_INV, np.diag([1e308, 1e308, 1e308, -1.0]),
+                                 *draws)
+
     @pytest.mark.parametrize("Xi,gamma,what", [
         (np.full((2, 2), np.nan), np.zeros(2), "not idempotent"),
         (np.eye(2), np.array([np.nan, 0.0]), "does not fix the bias"),
@@ -437,7 +445,7 @@ class TestStreamedSuites:
         one_shot += [check_born2(m, U1, U2, 1.0),
                      check_corinterm(m, moments[H_INV.kind])]
         calls = record(self.SEED)
-        self._close(_stream([gaussian_suite(m, "b", self.SEED)], count)[0], one_shot)
+        self._close(_stream([gaussian_suite(m, "b")], count, m.k, self.SEED)[0], one_shot)
         assert calls == self._chunks(2 * m.k, m.k, count)
         assert len(calls) == 4
 
@@ -447,7 +455,8 @@ class TestStreamedSuites:
         one_shot = check_elliptical_omega(
             m, spec, *sample_joint_elliptical(m, spec, count, self.SEED))
         calls = record(self.SEED)
-        self._close(_stream([elliptical_suite(m, spec, "e", self.SEED)], count)[0], one_shot)
+        self._close(_stream([elliptical_suite(m, spec, "e")], count, m.k,
+                            self.SEED)[0], one_shot)
         assert calls == self._chunks(2 * m.k, m.k, count)
 
     def test_singular_matches_one_draw(self, record):
@@ -459,7 +468,8 @@ class TestStreamedSuites:
             *sample_joint_singular(model, restriction, beta, model.sigma,
                                    count, self.SEED))
         calls = record(self.SEED)
-        self._close(_stream([singular_suite(instance, "s", self.SEED)], count)[0], one_shot)
+        self._close(_stream([singular_suite(instance, "s")], count, ms.k,
+                            self.SEED)[0], one_shot)
         assert calls == self._chunks(ms.k, ms.k, count)
 
     def test_default_suite_draws_the_normals_once_per_chunk(self, record):
@@ -476,13 +486,13 @@ class TestStreamedSuites:
     def test_default_suite_matches_each_section_alone(self):
         count = 3 * _rng.chunk_rows(6) + 17
         biased = biased_instance()
-        sections = [gaussian_suite(identity_instance(), "identity", 0),
-                    gaussian_suite(biased, "biased", 0),
-                    elliptical_suite(biased, EllipticalSpec.dirac(), "biased/dirac", 0),
+        sections = [gaussian_suite(identity_instance(), "identity"),
+                    gaussian_suite(biased, "biased"),
+                    elliptical_suite(biased, EllipticalSpec.dirac(), "biased/dirac"),
                     elliptical_suite(biased, EllipticalSpec.gamma_mixture(5.0),
-                                     "biased/gamma-nu5", 0),
-                    singular_suite(restricted_instance(), "restricted-q3", 0)]
-        alone = [_stream([s], count)[0] for s in sections]
+                                     "biased/gamma-nu5"),
+                    singular_suite(restricted_instance(), "restricted-q3")]
+        alone = [_stream([s], count, 3, 0)[0] for s in sections]
         flat = [r for reports in alone for r in reports]
         assert self._bits(default_bound_suite(count=count, seed=0)) == self._bits(flat)
         named = bound_suite(count, 0)
@@ -490,7 +500,7 @@ class TestStreamedSuites:
                                                "elliptical", "singular"]
         assert [self._bits(r) for _, r in named] == [self._bits(r) for r in alone]
         # a scaled section ahead of the unscaled ones leaves their normals as drawn
-        together = _stream(sections[::-1], count)[::-1]
+        together = _stream(sections[::-1], count, 3, 0)[::-1]
         assert [self._bits(r) for r in together] == [self._bits(r) for r in alone]
 
     def test_suite_labels_each_mixing_law(self):
@@ -502,17 +512,17 @@ class TestStreamedSuites:
         labels = [{r.name.split("[")[1] for r in reports} for _, reports in named[2:]]
         assert labels == [{"biased/two-point-z0.5-2-w0.3]"}, {"biased/gamma-nu7.5]"}]
 
-    @pytest.mark.parametrize("suite, instance", [
-        (gaussian_suite, identity_instance()),
-        (singular_suite, restricted_instance()),
+    @pytest.mark.parametrize("suite, instance, k", [
+        (gaussian_suite, identity_instance(), 3),
+        (singular_suite, restricted_instance(), 4),
     ])
-    def test_memory_flat_in_count(self, suite, instance, monkeypatch):
+    def test_memory_flat_in_count(self, suite, instance, k, monkeypatch):
         # one draw of 200 000 held 32 MB (Gaussian) and 125 MB (singular);
         # a suite holds one chunk per thread
         monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
-            _stream([suite(instance, "x", 0)], 200_000)
+            _stream([suite(instance, "x")], 200_000, k, 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -568,17 +578,27 @@ class TestStreamedSuites:
                 child.join(10)
         assert child.exitcode == 0
 
-    def test_sections_with_unequal_chunks_refused(self, record):
-        # k = 3 and k = 5 pad to strides 8 and 12, so their chunks differ
-        calls = record(0)
-        sections = [gaussian_suite(identity_instance(3), "a", 0),
-                    gaussian_suite(identity_instance(5), "b", 0)]
-        with pytest.raises(ValueError, match="equal chunk ranges"):
-            _stream(sections, 100_000)
-        assert calls == []
+    @pytest.mark.parametrize("k", [3, 5, 6, 8])
+    def test_suite_runs_and_holds_at_every_k(self, k):
+        # the (4, 3) restricted instance is drawn on the pass's k-chunks
+        named = bound_suite(20_000, 0, k=k)
+        reports = [r for _, section in named for r in section]
+        assert all(r.holds for r in reports), [str(r) for r in reports if not r.holds]
+        alone = _stream([singular_suite(restricted_instance(), "restricted-q3")],
+                        20_000, k, 0)[0]
+        assert [self._bits(r) for name, r in named if name == "singular"] == [
+            self._bits(alone)]
+
+    def test_sections_of_other_dimensions_share_a_pass(self):
+        # k = 3 and k = 5 pad to strides 8 and 12; the pass's k tiles both
+        sections = [gaussian_suite(identity_instance(3), "a"),
+                    gaussian_suite(identity_instance(5), "b")]
+        together = _stream(sections, 100_000, 5, 0)
+        alone = [_stream([s], 100_000, 5, 0)[0] for s in sections]
+        assert [self._bits(r) for r in together] == [self._bits(r) for r in alone]
 
     def test_elliptical_refuses_before_drawing(self, record):
         calls = record(0)
         with pytest.raises(DivergentMomentError):
-            elliptical_suite(identity_instance(k=2), EllipticalSpec.dirac(), "e", 0)
+            elliptical_suite(identity_instance(k=2), EllipticalSpec.dirac(), "e")
         assert calls == []

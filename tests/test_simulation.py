@@ -73,6 +73,24 @@ class TestGenerateDesign:
                 f"equicorrelation with rho={rho} is not positive definite for k=4")):
             generate_design(10, 4, rho, 0)
 
+    # k = 6, rho = -0.25 is singular in exact arithmetic, and 1 - 2**-53
+    # leaves a smallest eigenvalue of 1.1e-16, below RANK_TOL times the largest
+    @pytest.mark.parametrize("k, rho", [(6, -0.25), (6, 1.0 - 2.0**-53),
+                                        (9, 1.0 - 2.0**-53)])
+    def test_edge_equicorrelation_is_refused_by_one_rule(self, k, rho):
+        message = f"equicorrelation with rho={rho} is not positive definite for k={k}"
+        with pytest.raises(ConfigError, match=message):
+            generate_design(50, k, rho, 0)
+        with pytest.raises(ConfigError, match=message):
+            base_config(n=50, k=k, rho=rho)
+
+    # smallest eigenvalues 1e-6 and 4e-6
+    @pytest.mark.parametrize("rho", [0.999999, -0.249999])
+    def test_near_edge_equicorrelation_is_accepted(self, rho):
+        X = generate_design(50, 6, rho, 0)
+        assert np.isfinite(X).all()
+        assert base_config(n=50, k=6, rho=rho).rho == rho
+
     def test_needs_a_slope_column(self):
         with pytest.raises(ConfigError):
             generate_design(10, 1, 0.0, 0)
