@@ -41,8 +41,11 @@ class Dataset:
         return [nm for nm in self.names if nm in self.columns]
 
     def select(self, response, covariates):
-        """Bind response and covariate roles, checking names and the row margin."""
+        """Bind response and covariate roles, checking the names (at least one
+        covariate, each a distinct numeric column) and the row margin."""
         covariates = tuple(covariates)
+        if not covariates:
+            raise DataError("need at least one covariate, got none")
         for nm in (response, *covariates):
             if nm not in self.columns:
                 raise DataError(f"no numeric column named {nm!r}")
@@ -205,12 +208,9 @@ def _as_def(spec):
 
 
 def _design_rank(X):
-    """Rank of one design by core_model's rule, with the thin SVD it was
-    read from: an accepted redraw is fitted from the very singular values
-    that passed, as the rows of a chunk are. The trace in perfbench counts
-    rank checks at this name."""
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
-    return int(_svd_rank(s, *X.shape)), (u, s, vt)
+    """Rank of one design by core_model's rule, from its singular values
+    alone. The trace in perfbench counts rank checks at this name."""
+    return int(_svd_rank(np.linalg.svd(X, compute_uv=False), *X.shape))
 
 
 def _fit_pair(X, y, u, s, vt):
@@ -300,9 +300,10 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     resampled design loses rank are redrawn from a dedicated stream, in
     replicate order: a chunk holding such replicates returns only their
     positions, and once every chunk is done the calling thread redraws
-    them, chunk by chunk, and scores those chunks by the SVD from their
-    index-addressed draws. The parts are pooled in chunk order, so memory
-    stays flat in B and the results do not depend on the thread count.
+    them, chunk by chunk, checking each candidate by its rank alone, and
+    scores each repaired chunk by one SVD of its index-addressed draws.
+    The parts are pooled in chunk order, so memory stays flat in B and the
+    results do not depend on the thread count.
     More than 10 B redraws aborts.
     """
     if isinstance(B, bool) or not isinstance(B, numbers.Integral):
@@ -346,7 +347,6 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
                                            _rng.run_chunks(chunk, B, n * k)):
         if len(deficient):
             idx, Xb = resample(lo, hi)
-            u, s, vt = np.linalg.svd(Xb, full_matrices=False)
             for i in deficient:
                 while True:
                     if redraws >= 10 * B:
@@ -355,10 +355,10 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
                     idx[i] = draw(1, 2, redraws)[0]
                     redraws += 1
                     Xb[i] = X[idx[i]]
-                    rank, (u[i], s[i], vt[i]) = _design_rank(Xb[i])
-                    if rank == k:
+                    if _design_rank(Xb[i]) == k:
                         break
-            done = part(_fit_pair(Xb, y[idx], u, s, vt))
+            done = part(_fit_pair(Xb, y[idx],
+                                  *np.linalg.svd(Xb, full_matrices=False)))
         parts.append(done)
 
     efficiency, spread = {}, {}

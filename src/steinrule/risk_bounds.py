@@ -80,8 +80,12 @@ class BoundReport:
                 f"slack={self.slack:.3g} tol={self.tolerance:.3g} [{state}]")
 
 
+def _is_int(n):
+    return isinstance(n, numbers.Integral) and not isinstance(n, bool)
+
+
 def _need_two(n):
-    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+    if not _is_int(n):
         raise ValueError(f"the draw count must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"need at least 2 draws for a mean and its "
@@ -289,32 +293,36 @@ def check_corinterm(m, moments):
 
 
 def check_courant(C, trials, seed):
-    """Rayleigh-quotient caps on random vectors; deterministic truths, so
-    zero tolerance. Returns three reports: symmetric-part quadratic form,
-    the same through the summed matrix, and the bilinear form against the
-    off-diagonal block embedding."""
+    """Rayleigh-quotient caps on random vectors: the symmetric-part
+    quadratic form, the same through the summed matrix, and the bilinear
+    form against the off-diagonal block embedding. C is scaled by 2^(1-e),
+    e being np.frexp's exponent of c = max |C_ij|, exactly and clear of
+    overflow and underflow; lhs and rhs are scaled back. The caps are exact,
+    so the tolerance is the forward error of the computed quotients (Higham
+    2002, section 3.1): with u = eps/2, x'Cx is within gamma_2m m c x'x, x'x
+    within relative gamma_m, the quotient at most ||C||_2 <= m c and the
+    division adds u, so each quotient is within m c gamma_(3m+1) <= m c
+    (3m+1) eps, the bilinear one within half that."""
     C = np.asarray(C, dtype=float)
-    mdim = C.shape[0]
-    x = _rng.normals(seed, trials, mdim, stream=0)
-    y = _rng.normals(seed, trials, mdim, stream=1)
-    xx = np.einsum("ij,ij->i", x, x)
-    yy = np.einsum("ij,ij->i", y, y)
-    quad = np.einsum("ij,ij->i", x @ C, x)
-    bilinear = np.einsum("ij,ij->i", y, x @ C.T)
-
-    sym = 0.5 * (C + C.T)
-    lam_sym = float(np.max(np.abs(np.linalg.eigvalsh(sym))))
-    lam_sum_half = 0.5 * float(np.max(np.abs(np.linalg.eigvalsh(C + C.T))))
-    B0 = np.block([[np.zeros((mdim, mdim)), C.T], [C, np.zeros((mdim, mdim))]])
-    lam_b0_half = 0.5 * float(np.max(np.abs(np.linalg.eigvalsh(B0))))
-
-    r1 = BoundReport.compare("rayleigh-cap-symmetric",
-                             np.max(np.abs(quad) / xx), lam_sym)
-    r2 = BoundReport.compare("rayleigh-cap-summed",
-                             np.max(np.abs(quad) / xx), lam_sum_half)
-    r3 = BoundReport.compare("rayleigh-cap-bilinear",
-                             np.max(np.abs(bilinear) / (xx + yy)), lam_b0_half)
-    return r1, r2, r3
+    m = C.shape[0]
+    c = float(np.max(np.abs(C), initial=0.0))
+    scale = np.ldexp(1.0, np.frexp(c)[1] - 1) if c > 0 else 1.0
+    C = C / scale
+    tol = c * m * (3 * m + 1) * np.finfo(float).eps
+    x = _rng.normals(seed, trials, m, stream=0)
+    y = _rng.normals(seed, trials, m, stream=1)
+    xx, yy = _rowdot(x, x), _rowdot(y, y)
+    quad = np.max(np.abs(_rowdot(x @ C, x)) / xx)
+    bilinear = np.max(np.abs(_rowdot(y, x @ C.T)) / (xx + yy))
+    zero = np.zeros((m, m))
+    B0 = np.block([[zero, C.T], [C, zero]])
+    caps = (("rayleigh-cap-symmetric", quad, 1.0, 0.5 * (C + C.T)),
+            ("rayleigh-cap-summed", quad, 0.5, C + C.T),
+            ("rayleigh-cap-bilinear", bilinear, 0.5, B0))
+    return tuple(BoundReport.compare(
+        name, lhs * scale,
+        half * float(np.max(np.abs(np.linalg.eigvalsh(M)))) * scale, tol)
+        for name, lhs, half, M in caps)
 
 
 def _singular_form(m, h, Lambda):
@@ -424,19 +432,22 @@ def biased_instance(k=3, gamma_norm=1.0):
 RESTRICTED_ROWS = 25
 
 
-def restricted_instance(n=RESTRICTED_ROWS, k=4, q=3, sigma=1.0, seed=7):
-    """A fixed design with intercept plus a rank-q restriction satisfied by
-    the truth, so the competitor is unbiased and the factor is singular.
+def restricted_instance(k=4, q=3):
+    """A fixed design (RESTRICTED_ROWS rows, design seed 7, sigma = 1) with
+    intercept plus a rank-q restriction satisfied by the truth, so the
+    competitor is unbiased and the factor is singular. k and q must be
+    integers with 1 <= q <= k < RESTRICTED_ROWS.
 
     Returns (model, restriction, beta_true, moments).
     """
-    if not 1 <= q <= k:
-        raise ValueError(f"need 1 <= q <= k, got q={q}, k={k}")
-    g = _rng.normals(seed, n, k - 1, stream=_rng.STREAM_NOISE)
-    X = np.column_stack([np.ones(n), 1.0 + g])
+    if not (_is_int(k) and _is_int(q) and 1 <= q <= k < RESTRICTED_ROWS):
+        raise ValueError(f"the restricted instance needs integers 1 <= q <= k "
+                         f"< {RESTRICTED_ROWS}, got k={k!r}, q={q!r}")
+    g = _rng.normals(7, RESTRICTED_ROWS, k - 1, stream=_rng.STREAM_NOISE)
+    X = np.column_stack([np.ones(RESTRICTED_ROWS), 1.0 + g])
     beta_true = np.ones(k)
     restriction = LinearRestriction(np.eye(q, k), np.eye(q, k) @ beta_true)
-    model = LinearModel(X, X @ beta_true, sigma)
+    model = LinearModel(X, X @ beta_true, 1.0)
     moments = joint_moments_restricted(model, restriction, beta_true)
     return model, restriction, beta_true, moments
 
@@ -511,12 +522,15 @@ def bound_suite(count, seed, k=3,
     draws of seed, tiled by k: Gaussian checks on the identity and biased
     instances of dimension k, an elliptical section on the biased instance
     per mixing law, and the singular caps on the restricted instance
-    restricted = (rk, q) unless that is None. Every section is built
-    before anything is drawn.
+    restricted = (rk, q) unless that is None. Every input is checked, and
+    every section built, before anything is drawn.
     The strict elliptical cap runs on the biased instance: at zero bias
     the plain-Gaussian cap is an equality, which no finite-sample check
     can sit strictly below."""
     _need_two(count)
+    if not (_is_int(k) and k >= 1):
+        raise ValueError(f"the dimension k must be an integer of at least 1, "
+                         f"got {k!r}")
     biased = biased_instance(k)
     sections = [("identity", gaussian_suite(identity_instance(k), "identity")),
                 ("biased", gaussian_suite(biased, "biased"))]
@@ -524,9 +538,8 @@ def bound_suite(count, seed, k=3,
         label = "biased/" + _MIXING_LABELS[spec.kind].format(**vars(spec))
         sections.append(("elliptical", elliptical_suite(biased, spec, label)))
     if restricted is not None:
-        rk, q = restricted
-        sections.append(("singular", singular_suite(restricted_instance(k=rk, q=q),
-                                                    f"restricted-q{q}")))
+        sections.append(("singular", singular_suite(restricted_instance(*restricted),
+                                                    f"restricted-q{restricted[1]}")))
     names, built = zip(*sections)
     return list(zip(names, _stream(built, count, k, seed)))
 

@@ -222,6 +222,10 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             brands.select(response="co", covariates=["tar", "co"])
 
+    def test_select_needs_a_covariate(self, brands):
+        with pytest.raises(DataError, match="^need at least one covariate, got none$"):
+            brands.select(response="co", covariates=[])
+
     def test_design_has_intercept(self, smoke_model):
         X, y = smoke_model.design()
         assert X.shape == (25, 4)

@@ -6,8 +6,9 @@ import os
 import pytest
 
 from steinrule import _rng
+from steinrule.analysis import load_csv
 from steinrule.cli import main
-from steinrule.risk_bounds import default_bound_suite
+from steinrule.risk_bounds import bound_suite, default_bound_suite, restricted_instance
 
 DATA = os.path.join(os.path.dirname(__file__), "data", "cigarette.csv")
 
@@ -15,6 +16,19 @@ NAN, INF = float("nan"), float("inf")
 
 ANALYZE_ARGS = ["analyze", "--data", DATA, "--response", "co",
                 "--covariates", "tar,nicotine,weight"]
+
+
+def record_draws(monkeypatch):
+    """Record every call for normals or uniforms from here on."""
+    calls = []
+    for name in ("normals", "uniforms"):
+        draw = getattr(_rng, name)
+
+        def recorded(*args, _draw=draw, **kwargs):
+            calls.append(args)
+            return _draw(*args, **kwargs)
+        monkeypatch.setattr(_rng, name, recorded)
+    return calls
 
 
 def small_config(tmp_path, **overrides):
@@ -193,23 +207,12 @@ class TestVerifyBounds:
     def test_singular_rank_out_of_range(self, capsys):
         assert main(["verify-bounds", "--singular", "9"]) == 2
 
-    @staticmethod
-    def _record_normals(monkeypatch):
-        calls = []
-        normals = _rng.normals
-
-        def recorded(*args, **kwargs):
-            calls.append(args)
-            return normals(*args, **kwargs)
-        monkeypatch.setattr(_rng, "normals", recorded)
-        return calls
-
     def test_singular_with_too_many_coefficients_refused(self, capsys, monkeypatch):
-        drawn = self._record_normals(monkeypatch)
+        drawn = record_draws(monkeypatch)
         assert main(["verify-bounds", "--k", "25", "--singular", "3"]) == 2
         captured = capsys.readouterr()
-        assert captured.err == ("error: --singular needs --k below 25, "
-                                "the restricted instance's row count\n")
+        assert captured.err == ("error: the restricted instance needs integers "
+                                "1 <= q <= k < 25, got k=25, q=3\n")
         assert captured.out == ""
         assert drawn == []
 
@@ -221,7 +224,7 @@ class TestVerifyBounds:
     ])
     def test_elliptical_refused_before_drawing(self, extra, message, capsys,
                                                monkeypatch):
-        drawn = self._record_normals(monkeypatch)
+        drawn = record_draws(monkeypatch)
         assert main(["verify-bounds", "--samples", "2000000"] + extra) == 2
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
@@ -232,7 +235,8 @@ class TestVerifyBounds:
     def test_nonpositive_dimension_refused(self, extra, capsys):
         assert main(["verify-bounds", "--k", "0"] + extra) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: --k must be at least 1\n"
+        assert captured.err == ("error: the dimension k must be an integer of "
+                                "at least 1, got 0\n")
         assert captured.out == ""
 
     def test_nonfinite_nu_is_an_error(self, capsys):
@@ -247,6 +251,34 @@ class TestVerifyBounds:
                      "--elliptical", "5"])
         assert code == 0
         assert "[elliptical]" in capsys.readouterr().out
+
+
+class TestOneMessagePerFailure:
+    """A refused input prints the library's own message, nothing else."""
+
+    @pytest.mark.parametrize("argv, call", [
+        (["verify-bounds", "--k", "0"], lambda: bound_suite(100_000, 0, k=0)),
+        (["verify-bounds", "--k", "0", "--allow-divergent"],
+         lambda: bound_suite(100_000, 0, k=0)),
+        (["verify-bounds", "--k", "-1"], lambda: bound_suite(100_000, 0, k=-1)),
+        (["verify-bounds", "--k", "-1", "--allow-divergent"],
+         lambda: bound_suite(100_000, 0, k=-1)),
+        (["verify-bounds", "--singular", "9"], lambda: restricted_instance(3, 9)),
+        (["verify-bounds", "--k", "25", "--singular", "3"],
+         lambda: restricted_instance(25, 3)),
+        (["analyze", "--data", DATA, "--response", "co", "--covariates", " , "],
+         lambda: load_csv(DATA).select("co", [])),
+        (["estimate", "--data", DATA, "--response", "co", "--covariates", " , "],
+         lambda: load_csv(DATA).select("co", [])),
+    ], ids=["k0", "k0-divergent", "k-1", "k-1-divergent", "singular9",
+            "k25-singular3", "analyze-no-covariates", "estimate-no-covariates"])
+    def test_cli_prints_the_library_message(self, argv, call, capsys, monkeypatch):
+        with pytest.raises(ValueError) as info:
+            call()
+        drawn = record_draws(monkeypatch)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {info.value}\n")
+        assert drawn == []
 
 
 class TestAnalyze:

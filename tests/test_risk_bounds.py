@@ -16,7 +16,6 @@ from steinrule import (
     HFunction,
     JointMoments,
     LinearRestriction,
-    MomentConsistencyError,
     biased_instance,
     bound_suite,
     check_born1,
@@ -251,6 +250,30 @@ class TestCourant:
             for r in check_courant(C, 2_000, seed):
                 assert r.holds, f"seed {seed}: {r}"
 
+    @pytest.mark.parametrize("c", [3.0, 0.1, 7.3])
+    def test_scaled_identity_holds_at_equality(self, c):
+        # the symmetric and summed quotients equal their caps here, so
+        # only the rounding tolerance keeps an ulp above from failing
+        for r in check_courant(c * np.eye(3), 10_000, 0):
+            assert r.holds, str(r)
+            assert 0 < r.tolerance < 1e-13 * c
+
+    @pytest.mark.parametrize("C", [1e308 * np.eye(2),
+                                   [[1e308, -1e308], [2e307, 5e307]],
+                                   1e-310 * np.eye(2)],
+                             ids=["huge", "huge-nonsymmetric", "subnormal"])
+    def test_extreme_scales_hold(self, C):
+        C = np.asarray(C)
+        unit = np.ldexp(1.0, np.frexp(np.max(np.abs(C)))[1] - 1)
+        for r, ref in zip(check_courant(C, 10_000, 0),
+                          check_courant(C / unit, 10_000, 0)):
+            assert r.holds and np.isfinite([r.lhs, r.rhs]).all(), str(r)
+            assert (r.lhs, r.rhs) == (ref.lhs * unit, ref.rhs * unit)
+
+    def test_zero_matrix_holds(self):
+        for r in check_courant(np.zeros((3, 3)), 100, 0):
+            assert (r.lhs, r.rhs, r.tolerance, r.holds) == (0.0, 0.0, 0.0, True)
+
     def test_report_names(self):
         names = [r.name for r in check_courant(np.eye(2), 10, 43)]
         assert names == ["rayleigh-cap-symmetric", "rayleigh-cap-summed",
@@ -393,9 +416,32 @@ class TestDefaultSuite:
         with pytest.raises(ValueError, match=f"must be an integer, got {count!r}"):
             suite(count=count)
 
-    def test_empty_dimension_is_refused_by_the_moments(self):
-        with pytest.raises(MomentConsistencyError, match="^gamma must be nonempty"):
-            bound_suite(1000, 0, k=0, mixing=(), restricted=None)
+    @staticmethod
+    def _refused_before_a_draw(monkeypatch, message, **suite):
+        drawn = []
+        monkeypatch.setattr(_rng, "normals", lambda *a, **kw: drawn.append(a))
+        with pytest.raises(ValueError) as info:
+            bound_suite(1000, 0, **suite)
+        assert str(info.value) == message
+        assert drawn == []
+
+    @pytest.mark.parametrize("k", [0, -1, 2.5, True, np.float64(3.0)])
+    def test_dimension_is_refused_by_name(self, monkeypatch, k):
+        self._refused_before_a_draw(
+            monkeypatch, f"the dimension k must be an integer of at least 1, got {k!r}",
+            k=k, mixing=(), restricted=None)
+
+    @pytest.mark.parametrize("restricted", [(4.0, 3), (4, True), (3, 4), (4, 0),
+                                            (25, 3), (30, 3)])
+    def test_restricted_instance_is_refused_by_one_rule(self, monkeypatch, restricted):
+        rk, q = restricted
+        self._refused_before_a_draw(
+            monkeypatch, f"the restricted instance needs integers 1 <= q <= k "
+                         f"< 25, got k={rk!r}, q={q!r}", restricted=restricted)
+
+    def test_largest_restricted_instance_runs(self):
+        (label, reports), = bound_suite(1000, 0, mixing=(), restricted=(24, 3))[2:]
+        assert label == "singular" and len(reports) == 2
 
 
 class TestStreamedSuites:
