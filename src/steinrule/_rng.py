@@ -17,7 +17,8 @@ its sections with one set of chunks, and each chunk draws its standard
 normals once for all the sections that share them. The bootstrap's
 redraws are numbered in replicate order across chunks, so the chunks
 only report where a redraw is due, and the calling thread makes the
-redraws after the pass.
+redraws after the pass, drawing and ranking the candidates in blocks of
+one chunk's rows and taking the full-rank ones in counter order.
 
 `moments`, `pool` and `mean_se` are the one reduction of all three
 drivers: each chunk reduces its per-draw rows to a part (count, centre,

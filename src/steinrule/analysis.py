@@ -143,7 +143,9 @@ class CorrelationTable:
 def correlation_table(data, names=None):
     """Pearson correlations over the numeric columns with two-sided
     p-values from the t transform on n - 2 degrees of freedom."""
-    names = list(names) if names else data.numeric_names
+    names = data.numeric_names if names is None else list(names)
+    if len(names) < 2 or len(set(names)) != len(names):
+        raise DataError(f"need at least two distinct columns, got {names}")
     if data.n < 3:
         raise DataError(f"need at least 3 rows, got {data.n}")
     block = []
@@ -208,9 +210,9 @@ def _as_def(spec):
 
 
 def _design_rank(X):
-    """Rank of one design by core_model's rule, from its singular values
-    alone. The trace in perfbench counts rank checks at this name."""
-    return int(_svd_rank(np.linalg.svd(X, compute_uv=False), *X.shape))
+    """Rank of each design in a stack by core_model's rule, from its
+    singular values alone; perfbench's trace counts rank checks here."""
+    return _svd_rank(np.linalg.svd(X, compute_uv=False), *X.shape[-2:])
 
 
 def _fit_pair(X, y, u, s, vt):
@@ -299,12 +301,12 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     replicate its rank by _svd_rank's rule and its fit. Replicates whose
     resampled design loses rank are redrawn from a dedicated stream, in
     replicate order: a chunk holding such replicates returns only their
-    positions, and once every chunk is done the calling thread redraws
-    them, chunk by chunk, checking each candidate by its rank alone, and
-    scores each repaired chunk by one SVD of its index-addressed draws.
-    The parts are pooled in chunk order, so memory stays flat in B and the
-    results do not depend on the thread count.
-    More than 10 B redraws aborts.
+    positions, and once every chunk is done the calling thread gives
+    them, chunk by chunk, the stream's full-rank candidates in order,
+    drawn and ranked by their singular values a chunk's worth at a time,
+    and scores each repaired chunk by one SVD. The parts are pooled in
+    chunk order, so memory stays flat in B and the results do not depend
+    on the thread count. Using up 10 B candidates aborts.
     """
     if isinstance(B, bool) or not isinstance(B, numbers.Integral):
         raise DataError(f"B must be an integer, got {B!r}")
@@ -324,15 +326,12 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
         unif = _rng.uniforms(seed, count, n, stream=stream, start=start)
         return np.minimum((unif * n).astype(int), n - 1)
 
-    def resample(lo, hi):
-        idx = draw(hi - lo, 0, lo)
-        return idx, X[idx]
-
     def part(fit):
         return _rng.moments(_losses(defs, *fit, full["ls"]))
 
     def chunk(lo, hi):
-        idx, Xb = resample(lo, hi)
+        idx = draw(hi - lo, 0, lo)
+        Xb = X[idx]
         fit = _normal_fit(Xb, y[idx])
         if fit is None:
             u, s, vt = np.linalg.svd(Xb, full_matrices=False)
@@ -342,21 +341,24 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
             fit = _fit_pair(Xb, y[idx], u, s, vt)
         return (), part(fit)
 
-    parts, redraws = [], 0
+    def full_rank_candidates():
+        # each full-rank stream-2 candidate in order, with the draws up to it
+        block = _rng.chunk_rows(n * k)
+        for lo in range(0, 10 * B, block):
+            cand = draw(min(block, 10 * B - lo), 2, lo)
+            for j in np.flatnonzero(_design_rank(X[cand]) == k).tolist():
+                yield lo + j + 1, cand[j]
+        raise DataError(
+            f"bootstrap gave up after {10 * B} rank-deficient redraws")
+
+    parts, redraws, candidates = [], 0, full_rank_candidates()
     for (lo, hi), (deficient, done) in zip(_rng.chunks(B, n * k),
                                            _rng.run_chunks(chunk, B, n * k)):
         if len(deficient):
-            idx, Xb = resample(lo, hi)
+            idx = draw(hi - lo, 0, lo)
             for i in deficient:
-                while True:
-                    if redraws >= 10 * B:
-                        raise DataError(
-                            f"bootstrap gave up after {redraws} rank-deficient redraws")
-                    idx[i] = draw(1, 2, redraws)[0]
-                    redraws += 1
-                    Xb[i] = X[idx[i]]
-                    if _design_rank(Xb[i]) == k:
-                        break
+                redraws, idx[i] = next(candidates)
+            Xb = X[idx]
             done = part(_fit_pair(Xb, y[idx],
                                   *np.linalg.svd(Xb, full_matrices=False)))
         parts.append(done)

@@ -304,8 +304,16 @@ def check_courant(C, trials, seed):
     division adds u, so each quotient is within m c gamma_(3m+1) <= m c
     (3m+1) eps, the bilinear one within half that."""
     C = np.asarray(C, dtype=float)
+    if C.ndim != 2 or C.shape[0] != C.shape[1] or C.size == 0:
+        raise ValueError(f"C must be a nonempty square matrix, got shape "
+                         f"{C.shape}")
+    if not np.isfinite(C).all():
+        raise ValueError("C must be finite")
+    if not _is_int(trials) or trials < 1:
+        raise ValueError(f"trials must be an integer of at least 1, got "
+                         f"{trials!r}")
     m = C.shape[0]
-    c = float(np.max(np.abs(C), initial=0.0))
+    c = float(np.max(np.abs(C)))
     scale = np.ldexp(1.0, np.frexp(c)[1] - 1) if c > 0 else 1.0
     C = C / scale
     tol = c * m * (3 * m + 1) * np.finfo(float).eps

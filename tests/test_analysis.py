@@ -4,6 +4,7 @@ import json
 import multiprocessing
 from fractions import Fraction
 import os
+import re
 import tracemalloc
 import warnings
 
@@ -258,6 +259,12 @@ class TestCorrelationTable:
         assert tab.names == ["tar", "co"]
         assert tab.r.shape == (2, 2)
 
+    @pytest.mark.parametrize("names", [[], ["co"], ["co", "co"]])
+    def test_needs_two_distinct_names(self, brands, names):
+        message = f"need at least two distinct columns, got {names}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            correlation_table(brands, names=names)
+
     def test_constant_column_rejected(self, tmp_path):
         p = tmp_path / "k.csv"
         p.write_text("a,b\n1,1\n2,1\n3,1\n4,1\n")
@@ -379,13 +386,25 @@ class TestBootstrapEfficiency:
         assert doc["redraws"] == rep.redraws
 
     @pytest.mark.parametrize("B, seed", [(200, 0), (5000, 1)])
-    def test_redraws_match_per_replicate_loop(self, tmp_path, B, seed):
+    def test_redraws_match_per_replicate_loop(self, monkeypatch, tmp_path,
+                                              B, seed):
         # B = 5000 is no multiple of the chunk size, and deficient rows
-        # fall in every chunk: stacking must not move a bit or a redraw
+        # fall in every chunk: stacking must not move a bit or a redraw.
+        # Candidates are drawn one chunk's worth per stream-2 call
         data = sparse_data(tmp_path)
+        streams, uniforms = [], _rng.uniforms
+
+        def traced(*args, **kwargs):
+            streams.append(kwargs.get("stream"))
+            return uniforms(*args, **kwargs)
+
+        monkeypatch.setattr(_rng, "uniforms", traced)
         rep = bootstrap_efficiency(data, B=B, seed=seed)
+        monkeypatch.setattr(_rng, "uniforms", uniforms)
         triples, redraws = loop_bootstrap(data, B, seed)
         assert rep.redraws == redraws > 0
+        block = _rng.chunk_rows(data.design()[0].size)
+        assert streams.count(2) == -(-redraws // block)
         for name, ratio, se in triples:
             assert rep.relative_efficiency[name] == ratio
             assert rep.efficiency_se[name] == se
@@ -394,7 +413,8 @@ class TestBootstrapEfficiency:
     def test_redraws_match_per_replicate_loop_on_two_threads(
             self, monkeypatch, tmp_path, B, seed):
         monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
-        self.test_redraws_match_per_replicate_loop(tmp_path, B, seed)
+        self.test_redraws_match_per_replicate_loop(monkeypatch, tmp_path, B,
+                                                   seed)
 
     @pytest.mark.parametrize("design", ["brands", "sparse"])
     def test_report_does_not_depend_on_the_thread_count(
@@ -437,13 +457,16 @@ class TestBootstrapEfficiency:
                 child.join(10)
         assert child.exitcode == 0
 
-    def test_gives_up_on_hopeless_design(self, tmp_path):
+    @pytest.mark.parametrize("B", [100, 101])
+    def test_gives_up_on_hopeless_design(self, tmp_path, B):
         # six dummies, each set in one of 20 rows: almost no resample keeps
-        # them all, so the redraw budget of 10 B runs out
+        # them all, so the redraw budget of 10 B runs out, at B = 101 in a
+        # last block shorter than the rest
         with pytest.raises(
                 DataError,
-                match="^bootstrap gave up after 1000 rank-deficient redraws$"):
-            bootstrap_efficiency(hopeless_data(tmp_path), B=100, seed=0)
+                match=f"^bootstrap gave up after {10 * B} rank-deficient "
+                      f"redraws$"):
+            bootstrap_efficiency(hopeless_data(tmp_path), B=B, seed=0)
 
     def test_gives_up_on_hopeless_design_on_two_threads(
             self, monkeypatch, tmp_path):

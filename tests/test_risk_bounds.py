@@ -274,6 +274,26 @@ class TestCourant:
         for r in check_courant(np.zeros((3, 3)), 100, 0):
             assert (r.lhs, r.rhs, r.tolerance, r.holds) == (0.0, 0.0, 0.0, True)
 
+    SQUARE = "^C must be a nonempty square matrix, got shape "
+    TRIALS = "^trials must be an integer of at least 1, got "
+
+    @pytest.mark.parametrize("C, trials, match", [
+        ([[np.inf, 0.0], [0.0, 1.0]], 10, "^C must be finite$"),
+        ([[np.nan, 0.0], [0.0, 1.0]], 10, "^C must be finite$"),
+        (np.zeros((0, 0)), 10, SQUARE + r"\(0, 0\)$"),
+        (np.ones((2, 3)), 10, SQUARE + r"\(2, 3\)$"),
+        ([1.0, 2.0], 10, SQUARE + r"\(2,\)$"),
+        (np.eye(2), 0, TRIALS + "0$"),
+        (np.eye(2), 10.0, TRIALS + "10.0$"),
+        (np.eye(2), True, TRIALS + "True$"),
+    ], ids=["inf", "nan", "empty", "2x3", "1-d", "zero-trials", "float-trials",
+            "bool-trials"])
+    def test_refuses_bad_input_by_name(self, C, trials, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                check_courant(C, trials, 0)
+
     def test_report_names(self):
         names = [r.name for r in check_courant(np.eye(2), 10, 43)]
         assert names == ["rayleigh-cap-symmetric", "rayleigh-cap-summed",
