@@ -2,7 +2,6 @@
 analyze a data file, or print a single combined estimate."""
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -28,7 +27,7 @@ def main(argv=None):
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
         return args.func(args)
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -41,8 +41,7 @@ class LinearModel:
         self.sigma = float(sigma)
         if self.X.ndim != 2:
             raise ValueError("X must be a 2-d array")
-        self.n, self.k = self.X.shape
-        n, k = self.X.shape
+        self.n, self.k = n, k = self.X.shape
         if not n > k >= 1:
             raise ValueError(f"need n > k >= 1, got n={n}, k={k}")
         if self.y.shape != (n,):
@@ -72,7 +71,7 @@ class LinearRestriction:
     def __init__(self, Rmat, r):
         self.Rmat = np.atleast_2d(np.array(Rmat, dtype=float))
         self.r = np.atleast_1d(np.array(r, dtype=float))
-        q, k = self.Rmat.shape
+        self.q, self.k = q, k = self.Rmat.shape
         if q < 1 or k < 1 or self.Rmat.size == 0:
             raise RestrictionError("restriction needs at least one nonempty row")
         if self.r.shape != (q,):
@@ -80,13 +79,11 @@ class LinearRestriction:
         for name, a in (("Rmat", self.Rmat), ("r", self.r)):
             if not np.isfinite(a).all():
                 raise RestrictionError(f"restriction {name} must be finite")
-        rank = np.linalg.matrix_rank(self.Rmat)
+        rank = _svd_rank(np.linalg.svd(self.Rmat, compute_uv=False), q, k)
         if rank < q:
             raise RestrictionError(
                 f"restriction rows are linearly dependent (rank {rank} of {q})"
             )
-        self.q = q
-        self.k = k
 
 
 class JointMoments:

@@ -127,11 +127,9 @@ class EllipticalSpec:
 
     @property
     def first_abs_moment(self):
-        if self.kind == DIRAC_AT_ONE:
-            return 1.0
-        if self.kind == GAMMA_MIXTURE:
-            return 1.0
-        return self.w * self.z1 + (1.0 - self.w) * self.z2
+        if self.kind == TWO_POINT_MIXTURE:
+            return self.w * self.z1 + (1.0 - self.w) * self.z2
+        return 1.0
 
     def mixing_draws(self, seed, count, start=0):
         """One mixing value per sample, one uniform consumed per draw, draws
@@ -163,40 +161,37 @@ MIXING_KINDS = {
 }
 
 
-def joint_map(m):
-    """The map from rows g of 2k standard normals, each already scaled by
-    its z^(-1/2) under a scale mixture, to draws of (U1, U2): U = g L' about
-    the mean (0, gamma), L = V Lambda^(1/2) from core_model.psd_eigh of the
-    joint covariance of (U1, U2), noise eigenvalues below 0 clipped. The
-    samplers and the bound suite's shared draws all go through it."""
+def joint_map(m, spec):
+    """The one map from rows g of 2k standard normals to (U1, U2) under the
+    scale mixture spec: draws(g, seed, start) is U = spec.scale(g, seed,
+    start) L' about the mean (0, gamma), L = V Lambda^(1/2) from psd_eigh of
+    the joint covariance of (U1, U2), noise eigenvalues below 0 clipped."""
     C = np.block([[m.A, m.Sigma], [m.Sigma.T, m.Phi]])
     vals, vecs = psd_eigh("joint covariance", C)
     L = vecs * np.sqrt(np.clip(vals, 0.0, None))
 
-    def draws(g):
-        U = g @ L.T
+    def draws(g, seed, start=0):
+        U = spec.scale(g, seed, start) @ L.T
         U[:, m.k:] += m.gamma
         return U[:, :m.k], U[:, m.k:]
     return draws
 
 
 def sample_joint_gaussian(m, count, seed, start=0):
-    """Draws of (U1, U2): U1 mean zero with covariance A, U2 mean gamma with
-    covariance Phi, cross-covariance Sigma. Returns two (count, k) arrays.
-
-    Draw i is addressed by (seed, start + i), so index ranges can be
-    generated in any batching and concatenated.
-    """
-    return joint_map(m)(_rng.normals(seed, count, 2 * m.k,
-                                     stream=_rng.STREAM_NOISE, start=start))
+    """Gaussian draws of (U1, U2), U1 mean zero with covariance A, U2 mean
+    gamma with covariance Phi, cross-covariance Sigma, as two (count, k)
+    arrays: sample_joint_elliptical at the point mass at 1. Draw i is
+    addressed by (seed, start + i), so index ranges can be generated in any
+    batching and concatenated."""
+    return sample_joint_elliptical(m, EllipticalSpec.dirac(), count, seed, start)
 
 
 def sample_joint_elliptical(m, spec, count, seed, start=0):
     """Scale-mixture draws: z from the mixing law, then the Gaussian pair
-    scaled by z^(-1/2) about its mean. Mixing uses its own stream, so the
-    Gaussian deviates match sample_joint_gaussian draw for draw."""
+    scaled by z^(-1/2) about its mean, joint_map over the range's normals.
+    Mixing uses its own stream, so every spec scales the same normals."""
     g = _rng.normals(seed, count, 2 * m.k, stream=_rng.STREAM_NOISE, start=start)
-    return joint_map(m)(spec.scale(g, seed, start))
+    return joint_map(m, spec)(g, seed, start)
 
 
 def sample_joint_singular(model, restriction, beta_true, sigma, count, seed, start=0):

@@ -17,8 +17,7 @@ from .core_model import (
     LinearRestriction,
     joint_moments_restricted,
 )
-# the Gaussian and elliptical samplers stay bound here, where the
-# benchmark's tracer wraps every sampler by name
+# every sampler stays bound here, where the benchmark's tracer wraps it
 from .distributions import (
     DIRAC_AT_ONE,
     GAMMA_MIXTURE,
@@ -136,18 +135,26 @@ def _stream(sections, count, k, seed):
 def _joint(m, spec):
     """Key and draws of (U1, U2) on m under the scale mixture spec, from the
     chunk's 2k-wide normals, drawn once for all sections of m's k."""
-    to_draws = joint_map(m)
+    to_draws = joint_map(m, spec)
 
     def draws(normals, seed, lo, hi):
         if m.k not in normals:
             normals[m.k] = _rng.normals(seed, hi - lo, 2 * m.k,
                                         stream=_rng.STREAM_NOISE, start=lo)
-        return _Draws(m, *to_draws(spec.scale(normals[m.k], seed, lo)))
+        return _Draws(m, *to_draws(normals[m.k], seed, lo))
     return ("joint", id(m), spec), draws
 
 
 def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
+
+
+def _check_draws(m, U1, U2):
+    """Refuse U1 and U2 unless both are 2-d, of one shape, with m.k columns."""
+    s1, s2 = np.shape(U1), np.shape(U2)
+    if not (len(s1) == 2 and s1 == s2 and s1[1] == m.k):
+        raise ValueError(f"U1 and U2 must be 2-d arrays of one shape with "
+                         f"{m.k} columns, got shapes {s1} and {s2}")
 
 
 class _Draws:
@@ -157,6 +164,7 @@ class _Draws:
     so the cross term is U1'(U1-U2) / ||U1-U2||^2."""
 
     def __init__(self, m, U1, U2):
+        _check_draws(m, U1, U2)
         self.m, self.U1, self.U2 = m, U1, U2
         self.diff = U1 - U2
         self.sq = _rowdot(self.diff, self.diff)
@@ -231,6 +239,7 @@ def mse_empirical(m, h, c, U1, U2):
     Takes the same shrink-weight c as mse_analytic; the two agree within
     Monte Carlo error for every c, which is the decomposition identity.
     """
+    _check_draws(m, U1, U2)
     est = apply_rule(U1, U2, h, -c)
     return _reduce((_rowdot(est, est),))[0]
 
@@ -250,8 +259,8 @@ def _window_core(d, alpha, side):
     """Per draw: the eta_ddag term |cross| / sq where side(window_sq,
     alpha^2) holds, else 0; side is np.less_equal for the small window,
     np.greater for the tail."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+    if not 0 < alpha < np.inf:
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     return np.where(side(d.window_sq, alpha * alpha), d.eta_ddag, 0.0)
 
 
@@ -424,9 +433,8 @@ def check_elliptical_omega(m, spec, U1, U2):
 
 
 def identity_instance(k=3):
-    """Base and competitor independent, both unit covariance, no bias."""
-    eye = np.eye(k)
-    return JointMoments.from_covariances(np.zeros(k), eye, np.zeros((k, k)), eye)
+    """Base and competitor independent, unit covariance: biased at zero bias."""
+    return biased_instance(k, 0.0)
 
 
 def biased_instance(k=3, gamma_norm=1.0):

@@ -162,8 +162,9 @@ def optimal_c(eta_h, omega_h):
     Shrink-weight convention: weight c pulls the base estimate toward the
     competitor, so the equivalent apply_rule coefficient is -c.
     """
-    if not (np.isfinite(omega_h) and omega_h > 0):
-        raise InvalidRiskMomentError(f"omega(h) must be positive, got {omega_h}")
+    if not (np.isfinite(eta_h) and np.isfinite(omega_h) and omega_h > 0):
+        raise InvalidRiskMomentError(f"need a finite eta(h) and a finite positive "
+                                     f"omega(h), got {eta_h} and {omega_h}")
     return eta_h / omega_h
 
 

@@ -159,15 +159,15 @@ def _object(obj, what):
 def _decode(kinds, obj, what):
     """The spec a config value names: a bare kind name for a kind with no
     keys in kinds, else {"kind": name, key: number, ...} over its keys."""
-    if isinstance(obj, str):
-        if obj not in kinds or kinds[obj][1]:
-            raise ConfigError(f"unknown {what} {obj!r}")
-        obj = {"kind": obj}
-    kind = _object(obj, what).get("kind")
+    bare = isinstance(obj, str)
+    kind = obj if bare else _object(obj, what).get("kind")
     if not isinstance(kind, str) or kind not in kinds:
         raise ConfigError(f"unknown {what} kind {kind!r}")
     make, keys = kinds[kind]
     label = f"{what} {kind!r}"
+    if bare and keys:
+        raise ConfigError(f"{label} takes the keys {list(keys)}, so it must be "
+                          f"written as an object with 'kind'")
     return _build(label, make, *(_real(f"{label} {key!r}", obj.get(key))
                                  for key in keys))
 
@@ -285,8 +285,8 @@ def generate_design(n, k, rho, seed):
 
 def make_beta(k, target_norm):
     """Coefficients along the all-ones direction with squared norm target_norm."""
-    if target_norm <= 0:
-        raise ConfigError(f"target norm must be positive, got {target_norm}")
+    if not 0 < target_norm < np.inf:
+        raise ConfigError(f"need a finite positive target norm, got {target_norm}")
     return np.full(k, np.sqrt(target_norm / k))
 
 
@@ -326,11 +326,11 @@ def gamma_sweep(config):
 
 
 def _run_cell(config, cell_id, beta_norm, gamma_sq_target=None):
-    """All replications of one cell, streamed in chunks of n-wide noise
-    run on one thread per CPU (_rng.run_chunks). Every replication's draws
-    are addressed by index, so the per-replication losses, and the ratios
-    taken over all of them at once, depend neither on the chunking nor on
-    the thread count. Returns the cell's rows, one per estimator.
+    """The cell's rows, one per estimator, from its replications in chunks
+    of n-wide errors, sigma times config.distribution.scale of standard
+    normals, run on one thread per CPU (_rng.run_chunks). Draws are
+    addressed by index, so the losses and the ratios over all of them
+    depend neither on the chunking nor on the thread count.
 
     With gamma_sq_target the competitor's offset r moves to Rmat beta - s u,
     u the equal weights over its rows and s set so the squared bias norm is
@@ -353,9 +353,8 @@ def _run_cell(config, cell_id, beta_norm, gamma_sq_target=None):
     loss = np.empty((1 + len(config.estimators), reps))
 
     def chunk(lo, hi):
-        z = config.distribution.mixing_draws(mix_seed, hi - lo, start=lo)
-        eps = (config.sigma / np.sqrt(z))[:, None] * _rng.normals(
-            noise_seed, hi - lo, n, stream=_rng.STREAM_NOISE, start=lo)
+        eps = config.sigma * config.distribution.scale(_rng.normals(
+            noise_seed, hi - lo, n, stream=_rng.STREAM_NOISE, start=lo), mix_seed, lo)
         U1 = eps @ XG
         beta_hat = beta + U1
         a_hat = plug_in_gap(eps - U1 @ X.T, n - k, comp.trace_gap)

@@ -223,6 +223,13 @@ class TestLoadCsv:
         with pytest.raises(DataError):
             brands.select(response="co", covariates=["tar", "co"])
 
+    def test_select_needs_rows_for_the_covariates(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("y,a,b\n1,2,3\n2,1,5\n3,4,4\n")
+        with pytest.raises(DataError, match="^3 rows cannot support 2 covariates "
+                                            "plus an intercept$"):
+            load_csv(path).select(response="y", covariates=["a", "b"])
+
     def test_select_needs_a_covariate(self, brands):
         with pytest.raises(DataError, match="^need at least one covariate, got none$"):
             brands.select(response="co", covariates=[])
@@ -258,6 +265,10 @@ class TestCorrelationTable:
         tab = correlation_table(brands, names=["tar", "co"])
         assert tab.names == ["tar", "co"]
         assert tab.r.shape == (2, 2)
+
+    def test_label_column_is_not_numeric(self, brands):
+        with pytest.raises(DataError, match="^no numeric column named 'brand'$"):
+            correlation_table(brands, ["co", "brand"])
 
     @pytest.mark.parametrize("names", [[], ["co"], ["co", "co"]])
     def test_needs_two_distinct_names(self, brands, names):

@@ -18,7 +18,7 @@ from steinrule import (
 )
 from steinrule import _rng
 from steinrule.core_model import psd_eigh, restriction_projection
-from steinrule.distributions import joint_map
+from steinrule.distributions import EllipticalSpec, joint_map
 
 
 def random_model(n, k, sigma, seed, beta=None):
@@ -41,6 +41,10 @@ class TestLinearModel:
         model, _ = random_model(12, 3, 0.5, 0)
         with pytest.raises(ValueError):
             model.X[0, 0] = 7.0
+
+    def test_rejects_a_one_dimensional_design(self):
+        with pytest.raises(ValueError, match="^X must be a 2-d array$"):
+            LinearModel(np.ones(5), np.ones(5), 1.0)
 
     def test_rejects_wide_design(self):
         rng = np.random.default_rng(1)
@@ -336,7 +340,7 @@ class TestJointMomentsContainer:
                                           np.zeros((k, k)), eye)
         m = JointMoments.from_covariances(np.zeros(k), eye, -2.0 * eye, eye)
         with pytest.raises(MomentConsistencyError) as map_err:
-            joint_map(m)
+            joint_map(m, EllipticalSpec.dirac())
         assert str(moments_err.value) == "A has eigenvalue -1.000e+00 below tolerance"
         assert str(map_err.value) == (
             "joint covariance has eigenvalue -1.000e+00 below tolerance")

@@ -1,6 +1,7 @@
 """Risk moments, the quadratic decomposition, and every bound check."""
 
 import multiprocessing
+import re
 import sys
 import tracemalloc
 import warnings
@@ -191,6 +192,17 @@ class TestBorn1:
         m = identity_instance()
         with pytest.raises(ValueError):
             check_born1(m, *sample_joint_gaussian(m, 100, 35), 0.0)
+
+
+@pytest.mark.parametrize("check", [check_born1, check_born2],
+                         ids=["born1", "born2"])
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+def test_window_refuses_a_non_finite_alpha(check, alpha):
+    # NaN gave a VIOLATED report with rhs NaN; inf gave vacuous passes
+    m = identity_instance()
+    with pytest.raises(ValueError,
+                       match=f"^alpha must be positive and finite, got {alpha}$"):
+        check(m, *sample_joint_gaussian(m, 100, 38), alpha)
 
 
 class TestBorn2:
@@ -386,6 +398,35 @@ class TestEllipticalOmega:
         draws = sample_joint_elliptical(m, spec, 1_000, 50)
         with pytest.raises(DivergentMomentError):
             check_elliptical_omega(m, spec, *draws)
+
+
+def _malformed_draws():
+    U1, U2 = sample_joint_gaussian(identity_instance(3), 100, 51)
+    return {"other-k": sample_joint_gaussian(identity_instance(5), 100, 51),
+            "unequal-widths": (U1, U2[:, :2]),
+            "unequal-rows": (U1, U2[:-1]),
+            "1-d": (U1[0], U2[0])}
+
+
+@pytest.mark.parametrize("case", list(_malformed_draws()))
+@pytest.mark.parametrize("call", [
+    lambda m, U1, U2: estimate_risk_moments(m, H_INV, U1, U2),
+    lambda m, U1, U2: mse_empirical(m, H_INV, 0.5, U1, U2),
+    lambda m, U1, U2: check_born1(m, U1, U2, 1.0),
+    lambda m, U1, U2: check_born2(m, U1, U2, 1.0),
+    # Lambda = I / 2 meets the projection conditions on Xi = 2 I
+    lambda m, U1, U2: check_singular_omega(m, H_INV, 0.5 * np.eye(3), U1, U2),
+    lambda m, U1, U2: check_elliptical_omega(m, EllipticalSpec.dirac(), U1, U2),
+], ids=["estimate_risk_moments", "mse_empirical", "check_born1", "check_born2",
+        "check_singular_omega", "check_elliptical_omega"])
+def test_one_shot_checks_refuse_malformed_draws(call, case):
+    # at k = 5 estimate_risk_moments returned a report, the checks met
+    # numpy's matmul or broadcast errors, and mse_empirical never read m
+    U1, U2 = _malformed_draws()[case]
+    message = (f"U1 and U2 must be 2-d arrays of one shape with 3 columns, "
+               f"got shapes {np.shape(U1)} and {np.shape(U2)}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(identity_instance(3), U1, U2)
 
 
 class TestDefaultSuite:

@@ -227,3 +227,13 @@ class TestOptimalShrink:
             optimal_c(0.5, 0.0)
         with pytest.raises(InvalidRiskMomentError):
             optimal_c(0.5, np.nan)
+
+    @pytest.mark.parametrize("eta_h", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [optimal_c, dominance_interval],
+                             ids=["optimal_c", "dominance_interval"])
+    def test_rejects_non_finite_eta(self, fn, eta_h):
+        # NaN gave c = NaN and the interval (0, 0); inf gave (0, inf)
+        with pytest.raises(InvalidRiskMomentError,
+                           match=f"^need a finite eta\\(h\\) and a finite positive "
+                                 f"omega\\(h\\), got {eta_h} and 1.0$"):
+            fn(eta_h, 1.0)

@@ -107,6 +107,12 @@ class TestMakeBeta:
         with pytest.raises(ValueError):
             make_beta(3, 0.0)
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf])
+    def test_rejects_non_finite(self, target):
+        with pytest.raises(ConfigError,
+                           match=f"^need a finite positive target norm, got {target}$"):
+            make_beta(3, target)
+
 
 class TestSimConfig:
     def test_defaults(self):
@@ -225,6 +231,39 @@ class TestSimConfig:
             SimConfig.from_json(doc)
         message = str(info.value)
         assert message.startswith(f"{label}: ") and reason in message
+
+    @pytest.mark.parametrize("override, message", [
+        ({"distribution": "gamma-mixture"},
+         "distribution 'gamma-mixture' takes the keys ['nu']"),
+        ({"distribution": "two-point-mixture"},
+         "distribution 'two-point-mixture' takes the keys ['z1', 'z2', 'w']"),
+        ({"estimators": [{"name": "s", "h": "smooth-inverse"}]},
+         "weight 'smooth-inverse' takes the keys ['p']"),
+    ], ids=["gamma", "two-point", "smooth-inverse"])
+    def test_bare_kind_with_keys_says_to_write_an_object(self, override, message):
+        # the kind exists, so "unknown distribution 'gamma-mixture'" was wrong
+        doc = base_config().to_json_dict()
+        doc.update(override)
+        with pytest.raises(ConfigError) as info:
+            SimConfig.from_json(doc)
+        assert str(info.value) == (
+            f"{message}, so it must be written as an object with 'kind'")
+
+    @pytest.mark.parametrize("override, message", [
+        ({"distribution": {"kind": "cauchy"}}, "unknown distribution kind 'cauchy'"),
+        ({"distribution": "cauchy"}, "unknown distribution kind 'cauchy'"),
+        ({"competitor": [1, 2]}, "competitor must be 'diag' or {Rmat, r}, got [1, 2]"),
+    ], ids=["kind-object", "kind-name", "competitor-list"])
+    def test_from_json_names_the_refused_value(self, override, message):
+        doc = base_config().to_json_dict()
+        doc.update(override)
+        with pytest.raises(ConfigError) as info:
+            SimConfig.from_json(doc)
+        assert str(info.value) == message
+
+    def test_unknown_competitor_name(self):
+        with pytest.raises(ConfigError, match="^unknown competitor 'ridge'$"):
+            base_config(competitor="ridge")
 
     def test_from_json_rejects_unknown_keys(self):
         doc = base_config().to_json_dict()
@@ -356,6 +395,15 @@ class TestGammaSweep:
     def test_requires_restricted_competitor(self):
         with pytest.raises(ConfigError):
             gamma_sweep(base_config(gamma_norms=(0.0, 1.0)))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({}, "no gamma_norms given"),
+        ({"gamma_norms": (0.0, 1.0), "beta_norms": (1.2, 4.8)},
+         "gamma sweep uses a single beta norm"),
+    ], ids=["no-gamma-norms", "two-beta-norms"])
+    def test_refuses_a_config_it_cannot_sweep(self, overrides, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            gamma_sweep(self._restricted_config(**overrides))
 
     def test_projects_once_per_cell(self, monkeypatch):
         # the cell moves its competitor's offset, so J is projected once
