@@ -12,7 +12,7 @@ import numpy as np
 from scipy.special import stdtr
 
 from . import _rng
-from .core_model import LinearModel, _mv, _svd_rank, _svd_solve
+from .core_model import LinearModel, _mv, _rank, _svd_solve
 from .shrinkage import apply_rule, plug_in_gap, spsl
 from .simulation import _losses, relative_mse
 
@@ -210,9 +210,9 @@ def _as_def(spec):
 
 
 def _design_rank(X):
-    """Rank of each design in a stack by core_model's rule, from its
-    singular values alone; perfbench's trace counts rank checks here."""
-    return _svd_rank(np.linalg.svd(X, compute_uv=False), *X.shape[-2:])
+    """Rank of each design in a stack by core_model's one rule, _rank;
+    perfbench's trace counts rank checks here."""
+    return _rank(X)
 
 
 def _fit_pair(X, y, u, s, vt):
@@ -247,7 +247,7 @@ def _normal_fit(X, y):
     equations, Bjorck 1996, section 6.6), and the trace gap reads tr G.
     With A = X'X, tr G tr A bounds cond(A) = cond(X)^2 from above, so a
     design with a positive tr G tr A under _CERTIFIED_COND has
-    s_min / s_max above 3e-4, full rank by _svd_rank's rule too. (A
+    s_min / s_max above 3e-4, full rank by _rank's rule too. (A
     singular A that inv does not refuse can give a negative one.)"""
     Xt = X.swapaxes(-1, -2)
     A = Xt @ X
@@ -298,7 +298,7 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     reduces its losses to an _rng.moments part. A chunk is fitted by the
     normal equations (_normal_fit) when every replicate in it is
     certified full rank; otherwise one SVD of the chunk gives each
-    replicate its rank by _svd_rank's rule and its fit. Replicates whose
+    replicate its rank by _rank's rule and its fit. Replicates whose
     resampled design loses rank are redrawn from a dedicated stream, in
     replicate order: a chunk holding such replicates returns only their
     positions, and once every chunk is done the calling thread gives
@@ -335,7 +335,7 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
         fit = _normal_fit(Xb, y[idx])
         if fit is None:
             u, s, vt = np.linalg.svd(Xb, full_matrices=False)
-            deficient = np.flatnonzero(_svd_rank(s, n, k) < k)
+            deficient = np.flatnonzero(_rank(Xb, s) < k)
             if len(deficient):
                 return deficient, None
             fit = _fit_pair(Xb, y[idx], u, s, vt)

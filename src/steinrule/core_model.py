@@ -50,18 +50,20 @@ class LinearModel:
             raise ValueError("X and y must be finite")
         if not (np.isfinite(self.sigma) and self.sigma >= 0):
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        rank = _svd_rank(np.linalg.svd(self.X, compute_uv=False), n, k)
+        rank = _rank(self.X)
         if rank < k:
             raise RankDeficientError(f"design matrix has rank {rank}, expected {k}")
         self.X.setflags(write=False)
         self.y.setflags(write=False)
 
 
-def _svd_rank(s, n, k):
-    """Numerical rank of an n x k design, or of each in a stack, from its
-    descending singular values s (..., min(n, k)): the count above
-    max(n, k) * eps * s[0]."""
-    tol = max(n, k) * np.finfo(float).eps * s[..., :1]
+def _rank(M, s=None):
+    """Numerical rank of an n x k matrix M, or of each in a stack, by the
+    one rule: its descending singular values s (..., min(n, k)), computed
+    here unless given, counted above max(n, k) * eps * s[0]."""
+    if s is None:
+        s = np.linalg.svd(M, compute_uv=False)
+    tol = max(M.shape[-2:]) * np.finfo(float).eps * s[..., :1]
     return np.sum(s > tol, axis=-1)
 
 
@@ -71,6 +73,8 @@ class LinearRestriction:
     def __init__(self, Rmat, r):
         self.Rmat = np.atleast_2d(np.array(Rmat, dtype=float))
         self.r = np.atleast_1d(np.array(r, dtype=float))
+        if self.Rmat.ndim != 2:
+            raise RestrictionError(f"Rmat must be 2-d, got shape {self.Rmat.shape}")
         self.q, self.k = q, k = self.Rmat.shape
         if q < 1 or k < 1 or self.Rmat.size == 0:
             raise RestrictionError("restriction needs at least one nonempty row")
@@ -79,7 +83,7 @@ class LinearRestriction:
         for name, a in (("Rmat", self.Rmat), ("r", self.r)):
             if not np.isfinite(a).all():
                 raise RestrictionError(f"restriction {name} must be finite")
-        rank = _svd_rank(np.linalg.svd(self.Rmat, compute_uv=False), q, k)
+        rank = _rank(self.Rmat)
         if rank < q:
             raise RestrictionError(
                 f"restriction rows are linearly dependent (rank {rank} of {q})"

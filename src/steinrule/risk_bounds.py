@@ -91,10 +91,14 @@ def _need_two(n):
                          f"standard error, got {n}")
 
 
-def _reduce(rows):
-    """(mean, se) of each per-draw row, all draws at once."""
+def _once(m, U1, U2, terms, reports):
+    """A one-shot check or estimate: reports(stats, count) from the (mean,
+    se) of each row of terms(_Draws(m, U1, U2)), all draws at once. A suite
+    section runs the same pair a chunk at a time, so on one chunk the two
+    agree bitwise."""
+    rows = terms(_Draws(m, U1, U2))
     _need_two(len(rows[0]))
-    return _rng.mean_se([_rng.moments(rows)])
+    return reports(_rng.mean_se([_rng.moments(rows)]), len(rows[0]))
 
 
 # One instance's checks in a suite pass. draws(normals, seed, lo, hi) gives
@@ -149,22 +153,18 @@ def _rowdot(a, b):
     return np.einsum("ij,ij->i", a, b)
 
 
-def _check_draws(m, U1, U2):
-    """Refuse U1 and U2 unless both are 2-d, of one shape, with m.k columns."""
-    s1, s2 = np.shape(U1), np.shape(U2)
-    if not (len(s1) == 2 and s1 == s2 and s1[1] == m.k):
-        raise ValueError(f"U1 and U2 must be 2-d arrays of one shape with "
-                         f"{m.k} columns, got shapes {s1} and {s2}")
-
-
 class _Draws:
-    """One batch of (U1, U2) and the per-draw quantities the checks share,
-    each computed once, on first use. The factor-coordinate terms use the
-    identity P Z = U1 - U2 (true almost surely, also in the singular case),
-    so the cross term is U1'(U1-U2) / ||U1-U2||^2."""
+    """One batch of (U1, U2), both 2-d, of one shape, with m.k columns, and
+    the per-draw quantities the checks share, each computed once, on first
+    use. The factor-coordinate terms use the identity P Z = U1 - U2 (true
+    almost surely, also in the singular case), so the cross term is
+    U1'(U1-U2) / ||U1-U2||^2."""
 
     def __init__(self, m, U1, U2):
-        _check_draws(m, U1, U2)
+        s1, s2 = np.shape(U1), np.shape(U2)
+        if not (len(s1) == 2 and s1 == s2 and s1[1] == m.k):
+            raise ValueError(f"U1 and U2 must be 2-d arrays of one shape with "
+                             f"{m.k} columns, got shapes {s1} and {s2}")
         self.m, self.U1, self.U2 = m, U1, U2
         self.diff = U1 - U2
         self.sq = _rowdot(self.diff, self.diff)
@@ -217,9 +217,8 @@ def _risk_moments(m, count, stats):
 
 def estimate_risk_moments(m, h, U1, U2):
     """Estimate all five moments from one shared set of draws (U1, U2)."""
-    d = _Draws(m, U1, U2)
-    return _risk_moments(m, U1.shape[0],
-                         _reduce((*_h_terms(d, h), d.eta, d.eta_ddag, d.inv_sq)))
+    return _once(m, U1, U2, lambda d: (*_h_terms(d, h), d.eta, d.eta_ddag, d.inv_sq),
+                 lambda stats, count: _risk_moments(m, count, stats))
 
 
 def mse_analytic(m, moments, c):
@@ -239,9 +238,10 @@ def mse_empirical(m, h, c, U1, U2):
     Takes the same shrink-weight c as mse_analytic; the two agree within
     Monte Carlo error for every c, which is the decomposition identity.
     """
-    _check_draws(m, U1, U2)
-    est = apply_rule(U1, U2, h, -c)
-    return _reduce((_rowdot(est, est),))[0]
+    def terms(d):
+        est = apply_rule(d.U1, d.U2, h, -c)
+        return (_rowdot(est, est),)
+    return _once(m, U1, U2, terms, lambda stats, count: stats[0])
 
 
 def check_prop_eta_omega(moments, q0):
@@ -274,9 +274,8 @@ def _born1_report(m, alpha, small, omega):
 def check_born1(m, U1, U2, alpha):
     """Cross term restricted to the small-norm window, against the
     window-squared cap alpha^2 psi1 omega / 2."""
-    d = _Draws(m, U1, U2)
-    return _born1_report(m, alpha, *_reduce(
-        (_window_core(d, alpha, np.less_equal), d.inv_sq)))
+    return _once(m, U1, U2, lambda d: (_window_core(d, alpha, np.less_equal), d.inv_sq),
+                 lambda stats, count: _born1_report(m, alpha, *stats))
 
 
 def _born2_report(m, alpha, tail):
@@ -289,8 +288,8 @@ def _born2_report(m, alpha, tail):
 def check_born2(m, U1, U2, alpha):
     """Cross term outside the window, against the analytic tail cap
     psi1 (trace A + q + mu'mu) / (alpha^2 psi0)."""
-    d = _Draws(m, U1, U2)
-    return _born2_report(m, alpha, *_reduce((_window_core(d, alpha, np.greater),)))
+    return _once(m, U1, U2, lambda d: (_window_core(d, alpha, np.greater),),
+                 lambda stats, count: _born2_report(m, alpha, *stats))
 
 
 def check_corinterm(m, moments):
@@ -342,11 +341,13 @@ def check_courant(C, trials, seed):
         for name, lhs, half, M in caps)
 
 
-def _singular_form(m, h, Lambda):
-    """Lambda Xi Lambda, once Lambda and h meet the singular theory's
-    conditions: Lambda symmetric positive definite with Lambda^(1/2) Xi
-    Lambda^(1/2) idempotent and fixing the bias, and h bounded (every
-    weight is a function of the difference only)."""
+def _singular(m, h, Lambda, label=None):
+    """The singular check as (terms, reports) tagged with label: per draw
+    the omega_h term and D' LXL D, LXL = Lambda Xi Lambda, against the trace
+    cap and the mean q + noncentrality. Before anything is drawn, Lambda
+    and h must meet the theory's conditions: Lambda symmetric positive
+    definite with Lambda^(1/2) Xi Lambda^(1/2) idempotent and fixing the
+    bias, and h bounded (every weight is a function of the difference)."""
     Lambda = np.asarray(Lambda, dtype=float)
     if not np.isfinite(Lambda).all():
         raise ValueError("Lambda must be finite")
@@ -363,73 +364,56 @@ def _singular_form(m, h, Lambda):
         raise ValueError("Lambda Xi Lambda does not fix the bias under Lambda")
     if not (np.isfinite(h.q0) and h.q0 > 0):
         raise ValueError("weight needs a finite positive bound constant")
-    return LXL
-
-
-def _singular_terms(d, h, LXL):
-    """Per draw: the omega_h term and the quadratic form D' LXL D."""
-    return _h_terms(d, h)[1], _rowdot(d.diff @ LXL, d.diff)
-
-
-def _singular_reports(m, h, LXL, omega_h, qf):
-    (omega_h_hat, se), (qf_mean, qf_se) = omega_h, qf
     target = m.q + float(m.gamma @ LXL @ m.gamma)
-    mean_report = BoundReport.compare("difference-quadratic-form-mean",
-                                      abs(qf_mean - target), 0.0, 3.0 * qf_se)
-    if m.q <= 2:
-        bound = BoundReport("singular-omega-cap[not-applicable-q<=2]",
-                            omega_h_hat, np.inf, True, np.inf, 0.0)
-    else:
-        rhs = h.q0 * float(np.trace(LXL)) / (m.q - 2)
-        bound = BoundReport.compare("singular-omega-cap", omega_h_hat, rhs, 3.0 * se)
-    return bound, mean_report
+
+    def reports(stats, count):
+        (omega_h_hat, se), (qf_mean, qf_se) = stats
+        if m.q <= 2:
+            bound = BoundReport("singular-omega-cap[not-applicable-q<=2]",
+                                omega_h_hat, np.inf, True, np.inf, 0.0)
+        else:
+            rhs = h.q0 * float(np.trace(LXL)) / (m.q - 2)
+            bound = BoundReport.compare("singular-omega-cap", omega_h_hat, rhs, 3.0 * se)
+        mean = BoundReport.compare("difference-quadratic-form-mean",
+                                   abs(qf_mean - target), 0.0, 3.0 * qf_se)
+        return _tag(bound, label), _tag(mean, label)
+    return lambda d: (_h_terms(d, h)[1], _rowdot(d.diff @ LXL, d.diff)), reports
 
 
 def check_singular_omega(m, h, Lambda, U1, U2):
     """Curvature moment of a bounded weight against the trace cap that the
-    singular theory gives under the projection conditions on Lambda.
-
-    Returns the cap report and a distributional cross-check: the quadratic
-    form of the difference under Lambda Xi Lambda must average to
-    q + noncentrality.
-    """
-    LXL = _singular_form(m, h, Lambda)
-    return _singular_reports(m, h, LXL, *_reduce(
-        _singular_terms(_Draws(m, U1, U2), h, LXL)))
+    singular theory gives under the projection conditions on Lambda, and a
+    distributional cross-check: the quadratic form of the difference under
+    Lambda Xi Lambda must average to q + noncentrality. _singular's pair."""
+    return _once(m, U1, U2, *_singular(m, h, Lambda))
 
 
-def _elliptical_cap(m, spec):
+def _elliptical(m, spec, label=None):
+    """The elliptical check as (terms, reports) tagged with label: per draw
+    1 / ||Z||^2 and 1 / ||U1 - U2||^2, against the mixing-mean cap and the
+    eigenvalue sandwich. q <= 2 is refused before anything is drawn."""
     if m.q <= 2:
         raise DivergentMomentError(
             f"inverse norm moment needs factor dimension >= 3, got q={m.q}")
-    return spec.first_abs_moment / (m.q - 2)
+    cap, lam_min, lam_max = spec.first_abs_moment / (m.q - 2), m.psi0, m.psi1 ** 2
 
-
-def _elliptical_terms(d):
-    """Per draw: 1 / ||Z||^2 and 1 / ||U1 - U2||^2."""
-    return 1.0 / d.zz, d.inv_sq
-
-
-def _elliptical_reports(m, cap, inv_zz, omega):
-    (inv_zz_hat, se_zz), (omega_hat, se_om) = inv_zz, omega
-    lam_min, lam_max = m.psi0, m.psi1 ** 2
-    r_cap = BoundReport.compare("elliptical-inverse-norm-cap",
-                                inv_zz_hat, cap, 3.0 * se_zz)
-    r_lo = BoundReport.compare("omega-sandwich-lower",
-                               inv_zz_hat / lam_max, omega_hat,
-                               3.0 * (se_zz / lam_max + se_om))
-    r_hi = BoundReport.compare("omega-sandwich-upper",
-                               omega_hat, inv_zz_hat / lam_min,
-                               3.0 * (se_om + se_zz / lam_min))
-    return r_cap, r_lo, r_hi
+    def reports(stats, count):
+        (inv_zz_hat, se_zz), (omega_hat, se_om) = stats
+        return tuple(_tag(rep, label) for rep in (
+            BoundReport.compare("elliptical-inverse-norm-cap",
+                                inv_zz_hat, cap, 3.0 * se_zz),
+            BoundReport.compare("omega-sandwich-lower", inv_zz_hat / lam_max,
+                                omega_hat, 3.0 * (se_zz / lam_max + se_om)),
+            BoundReport.compare("omega-sandwich-upper", omega_hat,
+                                inv_zz_hat / lam_min, 3.0 * (se_om + se_zz / lam_min))))
+    return lambda d: (1.0 / d.zz, d.inv_sq), reports
 
 
 def check_elliptical_omega(m, spec, U1, U2):
     """Inverse squared norm of the factor coordinates under draws from the
     scale mixture spec, against the mixing-mean cap, plus the eigenvalue
-    sandwich tying it to the curvature moment. Three reports."""
-    cap = _elliptical_cap(m, spec)
-    return _elliptical_reports(m, cap, *_reduce(_elliptical_terms(_Draws(m, U1, U2))))
+    sandwich tying it to the curvature moment: _elliptical's three reports."""
+    return _once(m, U1, U2, *_elliptical(m, spec))
 
 
 def identity_instance(k=3):
@@ -469,7 +453,7 @@ def restricted_instance(k=4, q=3):
 
 
 def _tag(report, label):
-    return replace(report, name=f"{report.name}[{label}]")
+    return report if label is None else replace(report, name=f"{report.name}[{label}]")
 
 
 def gaussian_suite(m, label):
@@ -504,27 +488,26 @@ def gaussian_suite(m, label):
 
 
 def elliptical_suite(m, spec, label):
-    """The section of the elliptical caps under the scale mixture spec,
-    tagged with label; q <= 2 is refused here, before anything is drawn."""
-    cap = _elliptical_cap(m, spec)
-    return _Section(*_joint(m, spec), _elliptical_terms, lambda stats, count:
-                    [_tag(rep, label) for rep in _elliptical_reports(m, cap, *stats)])
+    """The section of check_elliptical_omega under the scale mixture spec:
+    _elliptical's pair, tagged with label, a chunk at a time; q <= 2 is
+    refused before anything is drawn."""
+    terms, reports = _elliptical(m, spec, label)
+    return _Section(*_joint(m, spec), terms, lambda *a: list(reports(*a)))
 
 
 def singular_suite(instance, label):
-    """The section of the singular-covariance caps on a restricted instance
+    """The section of check_singular_omega on a restricted instance
     (model, restriction, beta_true, moments), with Lambda = A^-1 and the
-    inverse-square-norm weight, on its own k-wide sample_joint_singular."""
+    inverse-square-norm weight: _singular's pair, tagged with label, on its
+    own k-wide sample_joint_singular a chunk at a time."""
     model, restriction, beta_true, ms = instance
-    h = HFunction.inverse_sq_norm()
-    LXL = _singular_form(ms, h, np.linalg.inv(ms.A))
+    terms, reports = _singular(ms, HFunction.inverse_sq_norm(),
+                               np.linalg.inv(ms.A), label)
 
     def draws(normals, seed, lo, hi):
         return _Draws(ms, *sample_joint_singular(model, restriction, beta_true,
                                                  model.sigma, hi - lo, seed, lo))
-    return _Section(("singular", id(ms)), draws,
-                    lambda d: _singular_terms(d, h, LXL), lambda stats, count:
-                    [_tag(rep, label) for rep in _singular_reports(ms, h, LXL, *stats)])
+    return _Section(("singular", id(ms)), draws, terms, lambda *a: list(reports(*a)))
 
 
 _MIXING_LABELS = {DIRAC_AT_ONE: "dirac", GAMMA_MIXTURE: "gamma-nu{nu:g}",

@@ -94,7 +94,7 @@ def _smooth_inverse_q0(p):
 
 @dataclass(frozen=True)
 class EstimatorDef:
-    """A named estimator for sweeps and reports.
+    """An estimator for sweeps and reports, named by a nonempty string.
 
     c = None means the multiplier is recomputed from each sample as minus
     the plug-in risk-gap estimate (the data-driven member of the class).
@@ -105,6 +105,8 @@ class EstimatorDef:
     c: Optional[float] = None
 
     def __post_init__(self):
+        if not (isinstance(self.name, str) and self.name):
+            raise ValueError(f"name must be a nonempty string, got {self.name!r}")
         c = self.c
         if c is not None and (isinstance(c, bool) or not isinstance(c, numbers.Real)
                               or not math.isfinite(c)):

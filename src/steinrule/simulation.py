@@ -79,10 +79,8 @@ class SimConfig:
             raise ConfigError(f"unknown competitor {self.competitor!r}")
         self.estimators = tuple(_sequence("estimators", self.estimators) or (spsl(),))
         names = [est.name for est in self.estimators]
-        for name in names:
-            if not isinstance(name, str) or not name or names.count(name) > 1:
-                raise ConfigError(
-                    f"estimator names must be distinct nonempty strings, got {name!r}")
+        if len(set(names)) != len(names):
+            raise ConfigError(f"estimator names must be distinct, got {names}")
         if self.gamma_norms is not None:
             self.gamma_norms = _reals("gamma_norms", self.gamma_norms)
             if not self.gamma_norms or any(g < 0 for g in self.gamma_norms):
@@ -92,15 +90,10 @@ class SimConfig:
     @classmethod
     def from_json(cls, doc):
         """Build from a JSON document (text or parsed dict)."""
-        data = dict(_object(json.loads(doc) if isinstance(doc, str) else doc,
-                            "config"))
-        extra = set(data) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConfigError(f"unknown config keys: {sorted(extra)}")
-        missing = {f.name for f in fields(cls) if f.default is MISSING
-                   and f.default_factory is MISSING} - set(data)
-        if missing:
-            raise ConfigError(f"missing config keys: {sorted(missing)}")
+        data = dict(_keys(json.loads(doc) if isinstance(doc, str) else doc, "config",
+                          [f.name for f in fields(cls)],
+                          [f.name for f in fields(cls) if f.default is MISSING
+                           and f.default_factory is MISSING]))
         if "distribution" in data:
             dist = data["distribution"]
             data["distribution"] = _decode(
@@ -156,6 +149,15 @@ def _object(obj, what):
     return obj
 
 
+def _keys(obj, what, keys, required):
+    """obj, a JSON object holding no key outside keys and all of required."""
+    for fault, bad in (("unknown", set(_object(obj, what)) - set(keys)),
+                       ("missing", set(required) - set(obj))):
+        if bad:
+            raise ConfigError(f"{fault} {what} keys: {sorted(bad, key=str)}")
+    return obj
+
+
 def _decode(kinds, obj, what):
     """The spec a config value names: a bare kind name for a kind with no
     keys in kinds, else {"kind": name, key: number, ...} over its keys."""
@@ -168,8 +170,9 @@ def _decode(kinds, obj, what):
     if bare and keys:
         raise ConfigError(f"{label} takes the keys {list(keys)}, so it must be "
                           f"written as an object with 'kind'")
-    return _build(label, make, *(_real(f"{label} {key!r}", obj.get(key))
-                                 for key in keys))
+    if not bare:
+        _keys(obj, label, ("kind", *keys), ("kind", *keys))
+    return _build(label, make, *(_real(f"{label} {key!r}", obj[key]) for key in keys))
 
 
 def _encode(kinds, spec):
@@ -191,10 +194,11 @@ def _build(label, make, *args):
 def _competitor_from_json(obj):
     if obj == DIAG or obj is None:
         return DIAG
-    if isinstance(obj, dict) and "Rmat" in obj and "r" in obj:
-        return _build("competitor", LinearRestriction,
-                      _entries("Rmat", obj["Rmat"]), _entries("r", obj["r"]))
-    raise ConfigError(f"competitor must be 'diag' or {{Rmat, r}}, got {obj!r}")
+    if not isinstance(obj, dict):
+        raise ConfigError(f"competitor must be 'diag' or {{Rmat, r}}, got {obj!r}")
+    _keys(obj, "competitor", ("Rmat", "r"), ("Rmat", "r"))
+    return _build("competitor", LinearRestriction,
+                  _entries("Rmat", obj["Rmat"]), _entries("r", obj["r"]))
 
 
 def _entries(key, value, depth=2):
@@ -205,11 +209,11 @@ def _entries(key, value, depth=2):
 
 
 def _estimator_from_json(obj):
-    name = _object(obj, "estimator").get("name")
+    name = _keys(obj, "estimator", ("name", "h", "c"), ("name",))["name"]
     c = obj.get("c", "auto")
     c = None if c in ("auto", None) else _real(f"estimator {name!r} c", c)
     h = _decode(WEIGHT_KINDS, obj.get("h", INVERSE_SQ_NORM), "weight")
-    return EstimatorDef(name, h, c)
+    return _build(f"estimator {name!r}", EstimatorDef, name, h, c)
 
 
 @dataclass

@@ -375,6 +375,19 @@ class TestBootstrapEfficiency:
                 specs=[EstimatorDef("ls", HFunction.inverse_sq_norm(), None)],
                 B=200, seed=0)
 
+    @pytest.mark.parametrize("name", [None, 3, ""])
+    def test_estimator_name_is_refused_before_a_draw(self, smoke_model, monkeypatch,
+                                                     name):
+        # such a name once ran the whole bootstrap, and then to_json could
+        # not sort it; no EstimatorDef now holds one
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before refusing the name")
+        monkeypatch.setattr(_rng, "uniforms", no_draw)
+        with pytest.raises(ValueError, match="name must be a nonempty string"):
+            bootstrap_efficiency(
+                smoke_model, specs=[EstimatorDef(name, HFunction.inverse_sq_norm())],
+                B=200, seed=0)
+
     def test_estimator_names_must_be_distinct(self, smoke_model):
         with pytest.raises(DataError, match="distinct"):
             bootstrap_efficiency(

@@ -1,5 +1,7 @@
 """Model container, competing fits, and joint error moments."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,12 @@ class TestLinearRestriction:
     def test_rejects_nonfinite(self, Rmat, r, name):
         with pytest.raises(RestrictionError, match=f"restriction {name} must be finite"):
             LinearRestriction(Rmat, r)
+
+    def test_rejects_rmat_of_three_dimensions_by_name(self):
+        # Rmat's shape was unpacked into two names, which failed bare
+        with pytest.raises(RestrictionError, match=re.escape(
+                "Rmat must be 2-d, got shape (1, 1, 2)")):
+            LinearRestriction([[[1.0, 0.0]]], [0.0])
 
 
 class TestFitRestricted:

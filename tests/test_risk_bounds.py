@@ -5,6 +5,7 @@ import re
 import sys
 import tracemalloc
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -364,7 +365,7 @@ class TestSingularOmega:
         # them, not slip through a comparison that NaN makes False
         stub = SimpleNamespace(Xi=Xi, gamma=gamma)
         with pytest.raises(ValueError, match=what):
-            risk_bounds._singular_form(stub, H_INV, np.eye(2))
+            risk_bounds._singular(stub, H_INV, np.eye(2))
 
     def test_unbounded_weight_rejected(self):
         model, restriction, beta, m = restricted_instance()
@@ -556,28 +557,53 @@ class TestStreamedSuites:
         assert calls == self._chunks(2 * m.k, m.k, count)
         assert len(calls) == 4
 
-    def test_elliptical_matches_one_draw(self, record):
+    @staticmethod
+    def _count(pieces, k):
+        """A count tiled into `pieces` chunks of 2k-wide draws: 4 unequal
+        ones, or 1 that holds every draw."""
+        rows = _rng.chunk_rows(2 * k)
+        return 3 * rows + 17 if pieces == 4 else rows
+
+    def _same_bits(self, streamed, one_shot, label):
+        # in one chunk a section and its one-shot check run one definition
+        # on the same draws, so only the tag on the names differs
+        assert self._bits(streamed) == self._bits(
+            [replace(o, name=f"{o.name}[{label}]") for o in one_shot])
+
+    @pytest.mark.parametrize("pieces", [4, 1], ids=["four-chunks", "one-chunk"])
+    def test_elliptical_matches_one_draw(self, record, pieces):
         m, spec = biased_instance(), EllipticalSpec.gamma_mixture(5.0)
-        count = 3 * _rng.chunk_rows(2 * m.k) + 17
+        count = self._count(pieces, m.k)
         one_shot = check_elliptical_omega(
             m, spec, *sample_joint_elliptical(m, spec, count, self.SEED))
         calls = record(self.SEED)
-        self._close(_stream([elliptical_suite(m, spec, "e")], count, m.k,
-                            self.SEED)[0], one_shot)
+        streamed = _stream([elliptical_suite(m, spec, "e")], count, m.k,
+                           self.SEED)[0]
+        if pieces == 1:
+            self._same_bits(streamed, one_shot, "e")
+        else:
+            self._close(streamed, one_shot)
         assert calls == self._chunks(2 * m.k, m.k, count)
+        assert len(calls) == pieces
 
-    def test_singular_matches_one_draw(self, record):
+    @pytest.mark.parametrize("pieces", [4, 1], ids=["four-chunks", "one-chunk"])
+    def test_singular_matches_one_draw(self, record, pieces):
         instance = restricted_instance()
         model, restriction, beta, ms = instance
-        count = 3 * _rng.chunk_rows(2 * ms.k) + 17
+        count = self._count(pieces, ms.k)
         one_shot = check_singular_omega(
             ms, H_INV, np.linalg.inv(ms.A),
             *sample_joint_singular(model, restriction, beta, model.sigma,
                                    count, self.SEED))
         calls = record(self.SEED)
-        self._close(_stream([singular_suite(instance, "s")], count, ms.k,
-                            self.SEED)[0], one_shot)
+        streamed = _stream([singular_suite(instance, "s")], count, ms.k,
+                           self.SEED)[0]
+        if pieces == 1:
+            self._same_bits(streamed, one_shot, "s")
+        else:
+            self._close(streamed, one_shot)
         assert calls == self._chunks(ms.k, ms.k, count)
+        assert len(calls) == pieces
 
     def test_default_suite_draws_the_normals_once_per_chunk(self, record):
         count = 3 * _rng.chunk_rows(6) + 17

@@ -1,5 +1,7 @@
 """Weight functions, the combination rule, and the shrink-weight optimum."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,12 @@ class TestEstimatorDef:
     def test_spec_rejects_c_that_is_not_a_real_number(self, c):
         with pytest.raises(ValueError, match="^c must be a finite real number"):
             EstimatorDef("bad", HFunction.one(), c)
+
+    @pytest.mark.parametrize("name", [None, 3, ""])
+    def test_spec_rejects_a_name_that_is_not_a_nonempty_string(self, name):
+        with pytest.raises(ValueError, match=re.escape(
+                f"name must be a nonempty string, got {name!r}")):
+            EstimatorDef(name, HFunction.one())
 
     def test_multiplier(self):
         a_hat = np.array([0.3, -1.5])

@@ -261,6 +261,49 @@ class TestSimConfig:
             SimConfig.from_json(doc)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("override, message", [
+        ({"distribution": {"kind": "gamma-mixture", "nu": 5, "w": 0.3, "typo": 1}},
+         "unknown distribution 'gamma-mixture' keys: ['typo', 'w']"),
+        ({"estimators": [{"name": "s", "h": {"kind": "smooth-inverse", "p": 3,
+                                             "nu": 1}}]},
+         "unknown weight 'smooth-inverse' keys: ['nu']"),
+        ({"estimators": [{"name": "s", "h": "inverse-sq-norm", "cc": 1}]},
+         "unknown estimator keys: ['cc']"),
+        ({"competitor": {"Rmat": [[1, 0, 0]], "r": [0], "x": 1}},
+         "unknown competitor keys: ['x']"),
+        ({"distribution": {"kind": "two-point-mixture", "z1": 0.5, "z2": 2.0}},
+         "missing distribution 'two-point-mixture' keys: ['w']"),
+        ({"estimators": [{"name": "s", "h": {"kind": "smooth-inverse"}}]},
+         "missing weight 'smooth-inverse' keys: ['p']"),
+        ({"estimators": [{"h": "inverse-sq-norm", "c": -0.5}]},
+         "missing estimator keys: ['name']"),
+        ({"competitor": {"Rmat": [[1, 0, 0]]}}, "missing competitor keys: ['r']"),
+    ], ids=["distribution", "weight", "estimator", "competitor",
+            "distribution-missing", "weight-missing", "estimator-missing",
+            "competitor-missing"])
+    def test_every_object_refuses_unknown_or_missing_keys(self, override, message):
+        # only the top level refused them: a misspelt "c" ran the estimator
+        # with c = "auto", and {"nu": 5, "w": 0.3} decoded to gamma nu = 5
+        doc = base_config().to_json_dict()
+        doc.update(override)
+        with pytest.raises(ConfigError) as info:
+            SimConfig.from_json(doc)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", [None, 3, ""])
+    def test_estimator_name_refusal_names_the_estimator(self, name):
+        doc = base_config().to_json_dict()
+        doc["estimators"] = [{"name": name, "h": "inverse-sq-norm"}]
+        with pytest.raises(ConfigError) as info:
+            SimConfig.from_json(doc)
+        assert str(info.value) == (
+            f"estimator {name!r}: name must be a nonempty string, got {name!r}")
+
+    def test_estimator_names_must_be_distinct(self):
+        with pytest.raises(ConfigError,
+                           match=r"^estimator names must be distinct, got \['a', 'a'\]$"):
+            base_config(estimators=(spsl("a"), spsl("a")))
+
     def test_unknown_competitor_name(self):
         with pytest.raises(ConfigError, match="^unknown competitor 'ridge'$"):
             base_config(competitor="ridge")
