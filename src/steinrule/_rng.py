@@ -44,9 +44,10 @@ STREAM_MIXING = 1
 
 # float64 values per array in a chunked pass (400 kB): the bound-suite
 # pass and the sweep cell take chunks(count, width) of draws `width` values
-# wide, the bootstrap chunks(B, n k) of n x k resampled designs, so the
-# memory of all three stays flat in the draw or replicate count. All three
-# run their chunks with run_chunks, so they hold one chunk per thread.
+# wide, the bootstrap chunks(B, n k), as many replicates as their n x k
+# resampled designs would fill, so the memory of all three stays flat in
+# the draw or replicate count. All three run their chunks with
+# run_chunks, so they hold one chunk per thread.
 CHUNK_ELEMS = 512 * 25 * 4
 
 _local = threading.local()

@@ -13,7 +13,7 @@ from scipy.special import stdtr
 
 from . import _rng
 from .core_model import LinearModel, _mv, _rank, _svd_solve
-from .shrinkage import apply_rule, plug_in_gap, spsl
+from .shrinkage import _estimator_names, apply_rule, plug_in_gap, spsl
 from .simulation import _losses, relative_mse
 
 
@@ -220,37 +220,35 @@ def _fit_pair(X, y, u, s, vt):
     gap on one design (n, k) or a stack of them (m, n, k), given the thin
     SVD u, s, vt of each full-rank design: the SVD form of
     Competitor(X'X)'s fit and trace gap."""
-    return _with_competitor(X, y, _svd_solve(u, s, vt, y),
-                            np.sum(1.0 / s**2, axis=-1))
-
-
-def _with_competitor(X, y, beta_hat, trace_G):
-    """_fit_pair's triple from the base fit and tr (X'X)^-1 of each design."""
     n, k = X.shape[-2:]
+    beta_hat = _svd_solve(u, s, vt, y)
     d = np.einsum("...ij,...ij->...j", X, X)
-    beta_tilde = _mv(X.swapaxes(-1, -2), y) / d
-    trace_gap = trace_G - np.sum(1.0 / d, axis=-1)
-    return beta_hat, beta_tilde, plug_in_gap(y - _mv(X, beta_hat), n - k,
-                                             trace_gap)
+    trace_gap = np.sum(1.0 / s**2, axis=-1) - np.sum(1.0 / d, axis=-1)
+    return beta_hat, _mv(X.swapaxes(-1, -2), y) / d, plug_in_gap(
+        y - _mv(X, beta_hat), n - k, trace_gap)
 
 
 # tr G carries cond(X)^2 eps into a_hat; under 1e7 a_hat is good to about 1e-9
 _CERTIFIED_COND = 1e7
 
 
-def _normal_fit(X, y):
-    """_fit_pair's triple for a stack of designs (m, n, k) from the normal
-    equations, or None unless every design is certified full rank.
+def _normal_fit(X, y, w):
+    """_fit_pair's triple for the pairs resamples of one design X (n, k)
+    and response y (n,) that draw row i w[b, i] times, from the normal
+    equations, or None unless every resample is certified full rank.
 
-    G = (X'X)^-1 comes from one batched inv; the fit G X'y takes one
-    refinement step, beta += G X'(y - X beta) (corrected seminormal
+    Resample b's X'WX is w[b] @ (the rows' outer products), its X'Wy is
+    w[b] @ (X * y) and its D the diagonal of X'WX; its residuals are the
+    n rows' own, weighted by w[b], so no resampled design is gathered.
+    G = (X'WX)^-1 comes from one batched inv; the fit G X'Wy takes one
+    refinement step, beta += G X'W(y - X beta) (corrected seminormal
     equations, Bjorck 1996, section 6.6), and the trace gap reads tr G.
-    With A = X'X, tr G tr A bounds cond(A) = cond(X)^2 from above, so a
-    design with a positive tr G tr A under _CERTIFIED_COND has
-    s_min / s_max above 3e-4, full rank by _rank's rule too. (A
-    singular A that inv does not refuse can give a negative one.)"""
-    Xt = X.swapaxes(-1, -2)
-    A = Xt @ X
+    With A = X'WX, tr G tr A bounds cond(A) from above, so a resample
+    with a positive tr G tr A under _CERTIFIED_COND has s_min / s_max
+    above 3e-4, full rank by _rank's rule too. (A singular A that inv
+    does not refuse can give a negative one.)"""
+    n, k = X.shape
+    A = (w @ (X[:, :, None] * X[:, None, :]).reshape(n, k * k)).reshape(-1, k, k)
     try:
         G = np.linalg.inv(A)
     except np.linalg.LinAlgError:
@@ -259,14 +257,20 @@ def _normal_fit(X, y):
     bound = trace_G * np.trace(A, axis1=-2, axis2=-1)
     if not np.all((bound > 0) & (bound < _CERTIFIED_COND)):
         return None
-    beta_hat = _mv(G, _mv(Xt, y))
-    beta_hat += _mv(G, _mv(Xt, y - _mv(X, beta_hat)))
-    return _with_competitor(X, y, beta_hat, trace_G)
+    Xty, d = w @ (X * y[:, None]), np.diagonal(A, axis1=-2, axis2=-1)
+    beta_hat = _mv(G, Xty)
+    beta_hat += _mv(G, (w * (y - beta_hat @ X.T)) @ X)
+    resid = np.sqrt(w) * (y - beta_hat @ X.T)
+    return beta_hat, Xty / d, plug_in_gap(resid, n - k,
+                                          trace_G - np.sum(1.0 / d, axis=-1))
 
 
 def _full_sample(data, defs):
     """The design, the response, and the full-sample base fit ('ls')
-    followed by each estimator's fit."""
+    followed by each estimator's fit. Refuses estimators that are not
+    EstimatorDefs with distinct names other than 'ls'."""
+    if "ls" in _estimator_names(defs, DataError):
+        raise DataError("'ls' names the base estimator")
     X, y = data.design()
     LinearModel(X, y, 1.0)  # checks shape, finiteness and rank
     beta_hat, beta_tilde, a_hat = _fit_pair(
@@ -293,20 +297,23 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     full-sample base fit. Relative efficiency is that mean squared error
     over the base estimator's own.
 
-    Replicates are drawn and fitted in stacked chunks of about 400 kB of
-    design each, on one thread per CPU (_rng.run_chunks), and each chunk
-    reduces its losses to an _rng.moments part. A chunk is fitted by the
-    normal equations (_normal_fit) when every replicate in it is
-    certified full rank; otherwise one SVD of the chunk gives each
-    replicate its rank by _rank's rule and its fit. Replicates whose
-    resampled design loses rank are redrawn from a dedicated stream, in
-    replicate order: a chunk holding such replicates returns only their
-    positions, and once every chunk is done the calling thread gives
-    them, chunk by chunk, the stream's full-rank candidates in order,
-    drawn and ranked by their singular values a chunk's worth at a time,
-    and scores each repaired chunk by one SVD. The parts are pooled in
-    chunk order, so memory stays flat in B and the results do not depend
-    on the thread count. Using up 10 B candidates aborts.
+    Replicates are drawn and fitted in chunks of _rng.chunks(B, n k), on
+    one thread per CPU (_rng.run_chunks), and each chunk reduces its
+    losses to an _rng.moments part. A chunk counts how often each
+    replicate draws each row (one bincount) and, when every replicate in
+    it is certified full rank, is fitted from those counts on the one
+    shared design by the normal equations (_normal_fit); otherwise it
+    gathers its stack of resampled designs, and one SVD of the stack
+    gives each replicate its rank by _rank's rule and its fit. Replicates
+    whose resampled design loses rank are redrawn from a dedicated
+    stream, in replicate order: a chunk holding such replicates returns
+    only their positions, and once every chunk is done the calling
+    thread gives them, chunk by chunk, the stream's full-rank candidates
+    in order, gathered and ranked by their singular values a chunk's
+    worth at a time, and scores each repaired chunk by one SVD of its
+    gathered stack. The parts are pooled in chunk order, so memory stays
+    flat in B and the results do not depend on the thread count. Using
+    up 10 B candidates aborts.
     """
     if isinstance(B, bool) or not isinstance(B, numbers.Integral):
         raise DataError(f"B must be an integer, got {B!r}")
@@ -314,11 +321,6 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     if B < 100:
         raise DataError(f"need at least 100 replications, got B={B}")
     defs = [_as_def(s) for s in (specs if specs is not None else [None])]
-    names = [est.name for est in defs]
-    if "ls" in names:
-        raise DataError("'ls' names the base estimator")
-    if len(set(names)) != len(names):
-        raise DataError(f"estimator names must be distinct, got {names}")
     X, y, full = _full_sample(data, defs)
     n, k = X.shape
 
@@ -331,9 +333,11 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
 
     def chunk(lo, hi):
         idx = draw(hi - lo, 0, lo)
-        Xb = X[idx]
-        fit = _normal_fit(Xb, y[idx])
+        counts = np.bincount((idx + n * np.arange(hi - lo)[:, None]).ravel(),
+                             minlength=(hi - lo) * n)
+        fit = _normal_fit(X, y, counts.reshape(-1, n).astype(float))
         if fit is None:
+            Xb = X[idx]
             u, s, vt = np.linalg.svd(Xb, full_matrices=False)
             deficient = np.flatnonzero(_rank(Xb, s) < k)
             if len(deficient):

@@ -118,6 +118,18 @@ class EstimatorDef:
         return -a_hat if self.c is None else self.c
 
 
+def _estimator_names(estimators, error):
+    """The names of a sequence of EstimatorDefs; raises error unless each
+    entry is one and their names are distinct."""
+    for est in estimators:
+        if not isinstance(est, EstimatorDef):
+            raise error(f"an estimator must be an EstimatorDef, got {est!r}")
+    names = [est.name for est in estimators]
+    if len(set(names)) != len(names):
+        raise error(f"estimator names must be distinct, got {names}")
+    return names
+
+
 def spsl(name="spsl"):
     """The data-driven member: inverse-square-norm weight, c fitted per sample."""
     return EstimatorDef(name, HFunction.inverse_sq_norm(), None)

@@ -17,6 +17,7 @@ from .shrinkage import (
     INVERSE_SQ_NORM,
     WEIGHT_KINDS,
     EstimatorDef,
+    _estimator_names,
     apply_rule,
     plug_in_gap,
     spsl,
@@ -78,9 +79,7 @@ class SimConfig:
         elif self.competitor != DIAG:
             raise ConfigError(f"unknown competitor {self.competitor!r}")
         self.estimators = tuple(_sequence("estimators", self.estimators) or (spsl(),))
-        names = [est.name for est in self.estimators]
-        if len(set(names)) != len(names):
-            raise ConfigError(f"estimator names must be distinct, got {names}")
+        _estimator_names(self.estimators, ConfigError)
         if self.gamma_norms is not None:
             self.gamma_norms = _reals("gamma_norms", self.gamma_norms)
             if not self.gamma_norms or any(g < 0 for g in self.gamma_norms):

@@ -1,5 +1,6 @@
 """CSV loading, correlation screening, and bootstrap efficiency."""
 
+import dataclasses
 import json
 import multiprocessing
 from fractions import Fraction
@@ -89,13 +90,29 @@ def hopeless_data(tmp_path):
     return load_csv(path).select("y", ["x"] + names)
 
 
+def draws(data, lo, hi, seed=0):
+    """The rows that the bootstrap's replicates lo to hi - 1 draw."""
+    u = _rng.uniforms(seed, hi - lo, data.n, start=lo)
+    return np.minimum((u * data.n).astype(int), data.n - 1)
+
+
 def resamples(data, lo, hi, seed=0):
-    """The bootstrap's resampled designs and responses lo to hi - 1."""
+    """The bootstrap's resamples lo to hi - 1 in count form: the design,
+    the response and how often each replicate draws each row."""
     X, y = data.design()
-    n = X.shape[0]
-    u = _rng.uniforms(seed, hi - lo, n, start=lo)
-    idx = np.minimum((u * n).astype(int), n - 1)
-    return X[idx], y[idx]
+    idx = draws(data, lo, hi, seed)
+    return X, y, np.stack([np.bincount(i, minlength=data.n) for i in idx]) * 1.0
+
+
+def with_special_design(data, design):
+    """The brand resamples 0 to 499 over the brand rows stacked with a
+    special design's rows, replicate 7 drawing each special row once:
+    the stacked design, the response and the counts."""
+    X, y, w = resamples(data, 0, 500)
+    Xs, ys = design
+    w = np.hstack([w, np.zeros((500, len(ys)))])
+    w[7] = np.arange(w.shape[1]) >= len(y)
+    return np.vstack([X, Xs]), np.concatenate([y, ys]), w
 
 
 def collinear_design(delta, n=25):
@@ -331,6 +348,15 @@ class TestPointEstimates:
         with pytest.raises(DataError):
             point_estimates(brands)
 
+    @pytest.mark.parametrize("spec, message", [
+        (EstimatorDef("ls", HFunction.zero(), 0.0), "'ls' names the base estimator"),
+        ("spsl", "an estimator must be an EstimatorDef, got 'spsl'")],
+        ids=["ls", "name"])
+    def test_refuses_what_the_bootstrap_refuses(self, smoke_model, spec, message):
+        # an estimator named 'ls' would replace the base fit in the result
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            point_estimates(smoke_model, spec)
+
 
 class TestBootstrapEfficiency:
     def test_reference_run(self, smoke_model):
@@ -387,6 +413,17 @@ class TestBootstrapEfficiency:
             bootstrap_efficiency(
                 smoke_model, specs=[EstimatorDef(name, HFunction.inverse_sq_norm())],
                 B=200, seed=0)
+
+    @pytest.mark.parametrize("spec", ["spsl", HFunction.inverse_sq_norm()],
+                             ids=["name", "weight"])
+    def test_estimator_that_is_not_a_def_is_refused_before_a_draw(
+            self, smoke_model, monkeypatch, spec):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew before refusing the estimator")
+        monkeypatch.setattr(_rng, "uniforms", no_draw)
+        with pytest.raises(DataError, match=re.escape(
+                f"an estimator must be an EstimatorDef, got {spec!r}")):
+            bootstrap_efficiency(smoke_model, specs=[spec], B=200, seed=0)
 
     def test_estimator_names_must_be_distinct(self, smoke_model):
         with pytest.raises(DataError, match="distinct"):
@@ -615,6 +652,42 @@ class TestBootstrapEfficiency:
             assert rep.relative_efficiency[name] == ratio
             assert rep.efficiency_se[name] == se
 
+    def test_brand_chunks_take_the_count_path(self, smoke_model):
+        # every brand chunk is certified, so none gathers its resampled
+        # designs (an (m, n) index into X) and the only SVDs are those of
+        # the full-sample fit, on the (n, k) design itself
+        X, y = smoke_model.design()
+        gathers, svd_shapes, svd = [], [], np.linalg.svd
+
+        class Design(np.ndarray):
+            def __getitem__(self, key):
+                if isinstance(key, np.ndarray) and key.ndim == 2:
+                    gathers.append(key.shape)
+                return super().__getitem__(key)
+
+        def traced(a, *args, **kwargs):
+            svd_shapes.append(np.shape(a))
+            return svd(a, *args, **kwargs)
+
+        data = dataclasses.replace(smoke_model)
+        data.design = lambda: (X.view(Design), y)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np.linalg, "svd", traced)
+            rep = bootstrap_efficiency(data, B=20_000, seed=0)
+        assert rep.redraws == 0 and gathers == []
+        assert svd_shapes and set(svd_shapes) == {X.shape}
+        assert rep.to_json() == bootstrap_efficiency(
+            smoke_model, B=20_000, seed=0).to_json()
+
+    @pytest.mark.parametrize("B, expected", [(5000, 0.9674382132572352),
+                                             (20_000, 0.9645488400358092)])
+    def test_brand_efficiency_matches_the_benchmark_reference(
+            self, smoke_model, B, expected):
+        # perfbench's analyze check holds spsl at seed 0 to these values
+        # within 1e-9 (perfbench/reference.json)
+        rep = bootstrap_efficiency(smoke_model, B=B, seed=0)
+        assert abs(rep.relative_efficiency["spsl"] - expected) < 1e-9
+
     def test_zero_weight_control_is_exact(self, smoke_model):
         rep = bootstrap_efficiency(
             smoke_model, specs=[spsl(), EstimatorDef("flat", HFunction.zero(), 0.0)],
@@ -627,8 +700,10 @@ class TestBootstrapEfficiency:
 class TestFitPair:
     """The bootstrap's SVD form of the competitor's fit and trace gap
     gives Competitor's numbers, on one design and on a stack; its
-    normal-equations form agrees with it on the chunks it certifies, and
-    refuses the rest."""
+    normal-equations form, from resample counts over one design, agrees
+    with it on the chunks it certifies, and refuses the rest. A special
+    design is stacked under the brand rows, and replicate 7's counts
+    draw it."""
 
     @pytest.mark.parametrize("stack", [(), (3,)])
     def test_matches_competitor(self, stack):
@@ -648,12 +723,15 @@ class TestFitPair:
             assert a_hat[i] == pytest.approx(expect, rel=1e-12)
 
     def test_normal_fit_matches_svd_fit_on_brand_chunk(self, smoke_model):
-        # beta_hat is compared in each replicate's norm: the SVD fit's
-        # smallest component (0.014) is off by 2e-12 of itself, the
-        # normal-equations fit's by 8e-14
-        Xb, yb = resamples(smoke_model, 0, 500)
+        # beta_hat is compared in each replicate's norm, where the fits
+        # differ by at most 2.6e-14: a small component is off by more (the
+        # smallest, 0.0027, by 2.4e-13 of itself in the SVD fit and 1.5e-12
+        # in the normal-equations fit)
+        X, y, w = resamples(smoke_model, 0, 500)
+        idx = draws(smoke_model, 0, 500)
+        Xb, yb = X[idx], y[idx]
         assert np.all(certificate(Xb) < _CERTIFIED_COND)
-        fit = _normal_fit(Xb, yb)
+        fit = _normal_fit(X, y, w)
         assert fit is not None
         svd = _fit_pair(Xb, yb, *np.linalg.svd(Xb, full_matrices=False))
         gap = np.linalg.norm(fit[0] - svd[0], axis=1)
@@ -662,42 +740,48 @@ class TestFitPair:
         np.testing.assert_allclose(fit[2], svd[2], rtol=1e-12)
 
     def test_normal_fit_accuracy_on_brand_chunk(self, smoke_model):
-        # measured over the first 20 replicates: beta_hat 8.3e-15, a_hat
-        # 2.2e-13 (the SVD fit: 2.5e-14 and 3.2e-15); bounds 6x and 4.6x those
-        Xb, yb = resamples(smoke_model, 0, 20)
-        beta_err, a_err = fit_errors(_normal_fit(Xb, yb), Xb, yb)
+        # measured over the first 20 replicates: beta_hat 4.5e-15, a_hat
+        # 1.0e-13 (the SVD fit: 2.5e-14 and 3.2e-15); bounds 11x and 10x those
+        X, y, w = resamples(smoke_model, 0, 20)
+        idx = draws(smoke_model, 0, 20)
+        beta_err, a_err = fit_errors(_normal_fit(X, y, w), X[idx], y[idx])
         assert beta_err < 5e-14 and a_err < 1e-12, (beta_err, a_err)
 
     def test_normal_fit_accuracy_near_the_certificate_bound(self):
-        # tr G tr A = 9.68e6, cond(X) = 3.0e3. beta_hat is off by 1.4e-13
+        # tr G tr A = 9.68e6, cond(X) = 3.0e3. beta_hat is off by 1.2e-13
         # (SVD 3.2e-14); tr G from the inverse of X'X carries cond(X)^2
-        # eps, so a_hat is off by 6.2e-10 (SVD 1.5e-13), which the bound
-        # keeps under 1e-9; test bounds 6.9x and 4.9x those
-        X, y = (a[None] for a in collinear_design(5.0e-3))
-        assert 0.9 * _CERTIFIED_COND < certificate(X)[0] < _CERTIFIED_COND
-        beta_err, a_err = fit_errors(_normal_fit(X, y), X, y)
+        # eps, so a_hat is off by 4.0e-10 (SVD 1.5e-13), which the bound
+        # keeps under 1e-9; test bounds 8x and 7.5x those
+        X, y = collinear_design(5.0e-3)
+        assert 0.9 * _CERTIFIED_COND < certificate(X[None])[0] < _CERTIFIED_COND
+        fit = _normal_fit(X, y, np.ones((1, len(y))))
+        beta_err, a_err = fit_errors(fit, X[None], y[None])
         assert beta_err < 1e-12 and a_err < 3e-9, (beta_err, a_err)
 
     @pytest.mark.parametrize("column", ["zero", "sum"])
     def test_rank_deficient_stack_is_refused(self, smoke_model, column):
         # a zero column makes inv raise; a column that is the sum of two
         # others does not, and tr G tr A comes out negative (-2.9e16)
-        Xb, yb = resamples(smoke_model, 0, 500)
-        Xb[7, :, 3] = 0.0 if column == "zero" else Xb[7, :, 1] + Xb[7, :, 2]
-        A = Xb[7].T @ Xb[7]
+        X, y = smoke_model.design()
+        idx = draws(smoke_model, 0, 500)[7]
+        Xs = X[idx]
+        Xs[:, 3] = 0.0 if column == "zero" else Xs[:, 1] + Xs[:, 2]
+        A = Xs.T @ Xs
         if column == "zero":
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.inv(A)
         else:
             assert np.trace(np.linalg.inv(A)) * np.trace(A) < 0
-        assert _normal_fit(Xb, yb) is None
+        assert _normal_fit(*with_special_design(smoke_model, (Xs, y[idx]))) is None
 
     def test_stack_past_the_certificate_bound_is_refused(self, smoke_model):
         # full rank and inv does not raise, but one design's tr G tr A is
         # 1.05e7, just past the bound
-        Xb, yb = resamples(smoke_model, 0, 500)
-        Xb[7], yb[7] = collinear_design(4.8e-3)
+        X, y = smoke_model.design()
+        Xb = X[draws(smoke_model, 0, 500)]
+        Xb[7] = collinear_design(4.8e-3)[0]
         bound = certificate(Xb)
         assert _CERTIFIED_COND < bound[7] < 1.1 * _CERTIFIED_COND
         assert np.all(np.delete(bound, 7) < _CERTIFIED_COND)
-        assert _normal_fit(Xb, yb) is None
+        special = with_special_design(smoke_model, collinear_design(4.8e-3))
+        assert _normal_fit(*special) is None

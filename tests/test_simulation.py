@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import re
 import threading
 import time
 import tracemalloc
@@ -303,6 +304,13 @@ class TestSimConfig:
         with pytest.raises(ConfigError,
                            match=r"^estimator names must be distinct, got \['a', 'a'\]$"):
             base_config(estimators=(spsl("a"), spsl("a")))
+
+    @pytest.mark.parametrize("spec", ["spsl", HFunction.inverse_sq_norm()],
+                             ids=["name", "weight"])
+    def test_estimator_that_is_not_a_def_is_refused(self, spec):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"an estimator must be an EstimatorDef, got {spec!r}")):
+            base_config(estimators=(spsl(), spec))
 
     def test_unknown_competitor_name(self):
         with pytest.raises(ConfigError, match="^unknown competitor 'ridge'$"):
