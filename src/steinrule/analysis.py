@@ -328,8 +328,9 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
         unif = _rng.uniforms(seed, count, n, stream=stream, start=start)
         return np.minimum((unif * n).astype(int), n - 1)
 
-    def part(fit):
-        return _rng.moments(_losses(defs, *fit, full["ls"]))
+    def part(beta_hat, beta_tilde, a_hat):
+        return _rng.moments(_losses(defs, beta_hat - full["ls"],
+                                    beta_hat - beta_tilde, a_hat))
 
     def chunk(lo, hi):
         idx = draw(hi - lo, 0, lo)
@@ -343,7 +344,7 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
             if len(deficient):
                 return deficient, None
             fit = _fit_pair(Xb, y[idx], u, s, vt)
-        return (), part(fit)
+        return (), part(*fit)
 
     def full_rank_candidates():
         # each full-rank stream-2 candidate in order, with the draws up to it
@@ -363,8 +364,8 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
             for i in deficient:
                 redraws, idx[i] = next(candidates)
             Xb = X[idx]
-            done = part(_fit_pair(Xb, y[idx],
-                                  *np.linalg.svd(Xb, full_matrices=False)))
+            done = part(*_fit_pair(Xb, y[idx],
+                                   *np.linalg.svd(Xb, full_matrices=False)))
         parts.append(done)
 
     efficiency, spread = {}, {}

@@ -135,27 +135,30 @@ def spsl(name="spsl"):
     return EstimatorDef(name, HFunction.inverse_sq_norm(), None)
 
 
-def apply_rule(beta_hat, beta_tilde, h, c):
-    """Vectorized rule over rows: base + c * h * (base - competitor).
-
-    c may be a scalar or one value per row. Rows where the two estimates
-    coincide (norm below 1e-14) are returned as the base, with a warning,
-    since the direction is undefined there.
-    """
-    beta_hat = np.atleast_2d(np.asarray(beta_hat, dtype=float))
-    beta_tilde = np.atleast_2d(np.asarray(beta_tilde, dtype=float))
-    diff = beta_hat - beta_tilde
-    sq = np.einsum("ij,ij->i", diff, diff)
-    hv = h._values_from(sq)
-    degen = sq < DEGENERATE_NORM**2
+def rule_weights(h, c, sq_norms):
+    """The rule's weight c * h per row, from the rows' squared norms of
+    base - competitor. c may be a scalar or one value per row. Rows where
+    the two estimates coincide (norm below DEGENERATE_NORM) get weight 0,
+    with one warning per call, since the direction is undefined there."""
+    hv = h._values_from(sq_norms)
+    degen = sq_norms < DEGENERATE_NORM**2
     if degen.any():
         warnings.warn(
             f"{int(degen.sum())} degenerate difference(s): returning the base estimate",
             DegenerateDifferenceWarning,
         )
         hv = np.where(degen, 0.0, hv)
-    c = np.asarray(c, dtype=float)
-    return beta_hat + (c * hv)[:, None] * diff
+    return np.asarray(c, dtype=float) * hv
+
+
+def apply_rule(beta_hat, beta_tilde, h, c):
+    """Vectorized rule over rows: base + c * h * (base - competitor), with
+    the weights of rule_weights, so rows where the two estimates coincide
+    are returned as the base, with a warning."""
+    beta_hat = np.atleast_2d(np.asarray(beta_hat, dtype=float))
+    diff = beta_hat - np.asarray(beta_tilde, dtype=float)
+    w = rule_weights(h, c, np.einsum("ij,ij->i", diff, diff))
+    return beta_hat + w[:, None] * diff
 
 
 def plug_in_gap(resid, df, trace_gap):

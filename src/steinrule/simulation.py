@@ -13,6 +13,7 @@ import numpy as np
 from . import _rng
 from .core_model import DIAG, RANK_TOL, Competitor, LinearRestriction, RestrictionError
 from .distributions import DIRAC_AT_ONE, MIXING_KINDS, EllipticalSpec
+# apply_rule stays bound here, where the benchmark's tracer wraps it
 from .shrinkage import (
     INVERSE_SQ_NORM,
     WEIGHT_KINDS,
@@ -20,6 +21,7 @@ from .shrinkage import (
     _estimator_names,
     apply_rule,
     plug_in_gap,
+    rule_weights,
     spsl,
 )
 
@@ -296,7 +298,8 @@ def make_beta(k, target_norm):
 def run_sweep(config):
     """Score every estimator in every beta-norm cell.
 
-    Within a cell all estimators share the same draws; relative MSE is the
+    Within a cell all estimators share the same draws, scored in closed
+    form from each chunk's k-wide errors (_run_cell); relative MSE is the
     estimator's mean squared error over the base estimator's, with a
     delta-method standard error for the ratio. Each cell is streamed in
     chunks of replications, so its memory holds one chunk of n-wide noise
@@ -329,11 +332,17 @@ def gamma_sweep(config):
 
 
 def _run_cell(config, cell_id, beta_norm, gamma_sq_target=None):
-    """The cell's rows, one per estimator, from its replications in chunks
-    of n-wide errors, sigma times config.distribution.scale of standard
-    normals, run on one thread per CPU (_rng.run_chunks). Draws are
-    addressed by index, so the losses and the ratios over all of them
-    depend neither on the chunking nor on the thread count.
+    """The cell's rows, one per estimator, from its replications in chunks,
+    run on one thread per CPU (_rng.run_chunks). Draws are addressed by
+    index, so the losses and the ratios over all of them depend neither
+    on the chunking nor on the thread count.
+
+    A chunk's errors are f g, g standard normals and f = sigma z^(-1/2)
+    per row (config.distribution.scale of ones). Past g, V = g X G and the
+    residual g - V X', all is k-wide: the base error U1 = f V, the plug-in
+    gap f^2 times the residual's, and the difference U1 (J Rmat)' - gamma
+    of the base and competing fits, which _losses scores. beta + U1 is
+    never formed, so U1 keeps its digits when sigma << |beta|.
 
     With gamma_sq_target the competitor's offset r moves to Rmat beta - s u,
     u the equal weights over its rows and s set so the squared bias norm is
@@ -352,40 +361,40 @@ def _run_cell(config, cell_id, beta_norm, gamma_sq_target=None):
 
     noise_seed = _rng.spawn_seed(config.seed, cell_id, 1)
     mix_seed = _rng.spawn_seed(config.seed, cell_id, 2)
-    XG = X @ comp.G
+    XG, JRt, gamma = X @ comp.G, (comp.J @ comp.Rmat).T, comp.bias(beta)
     loss = np.empty((1 + len(config.estimators), reps))
 
     def chunk(lo, hi):
-        eps = config.sigma * config.distribution.scale(_rng.normals(
-            noise_seed, hi - lo, n, stream=_rng.STREAM_NOISE, start=lo), mix_seed, lo)
-        U1 = eps @ XG
-        beta_hat = beta + U1
-        a_hat = plug_in_gap(eps - U1 @ X.T, n - k, comp.trace_gap)
-        loss[:, lo:hi] = _losses(config.estimators, beta_hat, comp.fit(beta_hat),
-                                 a_hat, beta)
+        g = _rng.normals(noise_seed, hi - lo, n, stream=_rng.STREAM_NOISE, start=lo)
+        V = g @ XG
+        f = config.sigma * config.distribution.scale(np.ones((hi - lo, 1)), mix_seed, lo)
+        U1, resid = f * V, V @ X.T
+        resid -= g    # the residual's negative, in place: the same squares
+        a_hat = f[:, 0] ** 2 * plug_in_gap(resid, n - k, comp.trace_gap)
+        loss[:, lo:hi] = _losses(config.estimators, U1, U1 @ JRt - gamma, a_hat)
 
     _rng.run_chunks(chunk, reps, n)
-    gamma = comp.bias(beta)
     return [SweepRow(cell_id, n, k, config.sigma, config.rho, beta_norm,
                      float(gamma @ gamma), name, rmse, se, reps, config.seed)
             for name, rmse, se in relative_mse(config.estimators,
                                                [_rng.moments(loss)])]
 
 
-def _losses(estimators, beta_hat, beta_tilde, a_hat, truth):
-    """Squared losses per row, shape (1 + estimators, rows): the base fit's
-    loss b first, then each estimator's loss less b. beta_hat and
-    beta_tilde are (rows, k), a_hat holds the rows' plug-in risk gaps, and
-    truth is what the losses are measured from."""
-    # same float path for the base and the estimators, so a zero-weight
-    # control reproduces the base loss bitwise and its row is all zeros
-    out = np.empty((1 + len(estimators), beta_hat.shape[0]))
-    fits = [beta_hat] + [apply_rule(beta_hat, beta_tilde, est.h, est.multiplier(a_hat))
-                         for est in estimators]
-    for row, fitted in zip(out, fits):
-        dev = fitted - truth
-        row[:] = np.einsum("ij,ij->i", dev, dev)
-    out[1:] -= out[0]
+def _losses(estimators, dev, diff, a_hat):
+    """Squared losses per row, shape (1 + estimators, rows): the base loss
+    b = |dev|^2 first, then each estimator's loss less b. dev is the base
+    fit less the truth and diff the base fit less the competitor, both
+    (rows, k), and a_hat holds the rows' plug-in risk gaps. An estimator
+    with weight w = rule_weights(...) is base + w diff, so its loss less b
+    is w (2 dev.diff + w |diff|^2) in closed form: it keeps its digits
+    when w is small, and a zero weight gives exactly 0."""
+    out = np.empty((1 + len(estimators), len(dev)))
+    out[0] = np.einsum("ij,ij->i", dev, dev)
+    cross = 2.0 * np.einsum("ij,ij->i", dev, diff)
+    sq = np.einsum("ij,ij->i", diff, diff)
+    for row, est in zip(out[1:], estimators):
+        w = rule_weights(est.h, est.multiplier(a_hat), sq)
+        row[:] = w * (cross + w * sq)
     return out
 
 

@@ -72,8 +72,9 @@ def loop_bootstrap(data, B, seed):
             redraws += 1
         beta_hat[b], beta_tilde[b], a_hat[b] = fit(X[idx], y[idx])
     reference = fit(X, y)[0]
-    parts = [_rng.moments(_losses([spsl()], beta_hat[lo:hi], beta_tilde[lo:hi],
-                                  a_hat[lo:hi], reference))
+    parts = [_rng.moments(_losses([spsl()], beta_hat[lo:hi] - reference,
+                                  beta_hat[lo:hi] - beta_tilde[lo:hi],
+                                  a_hat[lo:hi]))
              for lo, hi in _rng.chunks(B, n * k)]
     return relative_mse([spsl()], parts), redraws
 

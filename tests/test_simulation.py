@@ -23,6 +23,7 @@ from steinrule import (
     RestrictionError,
     SimConfig,
     SweepResult,
+    apply_rule,
     gamma_sweep,
     generate_design,
     make_beta,
@@ -533,6 +534,96 @@ class TestRelativeMse:
         assert se == pytest.approx(exact_se, rel=1e-13, abs=0.0)
 
 
+class TestLosses:
+    K = 4
+
+    def test_matches_exact_rationals(self):
+        # e within about 1e-6 of b: e - b formed from the fitted estimate
+        # cancels about six digits, the closed-form gap must not
+        rng = np.random.default_rng(67)
+        dev = rng.uniform(0.5, 2.0, size=(301, self.K))
+        diff = rng.uniform(0.5, 2.0, size=(301, self.K))
+        sq = np.einsum("ij,ij->i", diff, diff)
+        a_hat = 1e-6 * sq * rng.uniform(0.5, 2.0, size=301)
+        out = simulation._losses(
+            [EstimatorDef("one", HFunction.one(), 1e-6), spsl()], dev, diff, a_hat)
+        for i in range(0, 301, 7):
+            d, e = [Fraction(x) for x in dev[i]], [Fraction(y) for y in diff[i]]
+            b = sum(x * x for x in d)
+            cross = 2 * sum(x * y for x, y in zip(d, e))
+            sq_exact = sum(y * y for y in e)
+            for row, w in ((1, Fraction(1e-6)), (2, -Fraction(a_hat[i]) / sq_exact)):
+                gap = w * (cross + w * sq_exact)
+                assert abs(gap) < 1e-5 * b
+                assert out[row, i] == pytest.approx(float(gap), rel=1e-13, abs=0.0)
+            assert out[0, i] == pytest.approx(float(b), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("est", [
+        spsl(), EstimatorDef("fixed", HFunction.inverse_sq_norm(), -0.3),
+        EstimatorDef("one", HFunction.one(), -0.5),
+        EstimatorDef("zero", HFunction.zero(), 0.0),
+        EstimatorDef("s3", HFunction.smooth_inverse(3.0)),
+        EstimatorDef("s4-fixed", HFunction.smooth_inverse(4.0), 0.8),
+    ], ids=lambda est: est.name)
+    def test_matches_the_fitted_rule(self, est):
+        # the reference: the rule's fit base + w diff by apply_rule, then
+        # its squared loss less the base's
+        rng = np.random.default_rng(71)
+        truth, beta_hat, beta_tilde = (rng.normal(size=(200, self.K))
+                                       for _ in range(3))
+        a_hat = rng.uniform(0.1, 1.0, size=200)
+        dev, diff = beta_hat - truth, beta_hat - beta_tilde
+        base = np.einsum("ij,ij->i", dev, dev)
+        fitted = apply_rule(beta_hat, beta_tilde, est.h, est.multiplier(a_hat)) - truth
+        out = simulation._losses([est], dev, diff, a_hat)
+        assert np.array_equal(out[0], base)
+        np.testing.assert_allclose(
+            out[1], np.einsum("ij,ij->i", fitted, fitted) - base, rtol=1e-12, atol=1e-13)
+        if est.h.kind == "zero":
+            assert not out[1].any()
+
+    def test_degenerate_rows_give_zero_with_one_warning_per_estimator(self):
+        rng = np.random.default_rng(73)
+        dev = rng.normal(size=(40, self.K))
+        diff = rng.normal(size=(40, self.K))
+        diff[::3] = 0.0
+        diff[1::3] *= 1e-15
+        ests = TestStreamedCell.ESTIMATORS
+        with pytest.warns(DegenerateDifferenceWarning) as record:
+            for _ in range(2):
+                out = simulation._losses(ests, dev, diff, rng.uniform(0.1, 1.0, 40))
+        assert len(record) == 2 * len(ests)
+        assert all(str(w.message).startswith("27 degenerate") for w in record)
+        assert (out[1:, 0::3] == 0.0).all() and (out[1:, 1::3] == 0.0).all()
+        assert out[1:-1, 2::3].all()
+
+
+class TestErrorScale:
+    # n = 8, k = 4, |beta|^2 = 1: the base error U1 is of order sigma and
+    # was rounded away in (beta + U1) - beta when sigma << |beta|
+    ESTIMATORS = (spsl(), EstimatorDef("zero", HFunction.zero(), 0.0))
+
+    @classmethod
+    def _rows(cls, sigma, beta_norm):
+        return run_sweep(SimConfig(n=8, k=4, sigma=sigma, rho=0.2,
+                                   beta_norms=(beta_norm,), replications=200,
+                                   seed=1, estimators=cls.ESTIMATORS)).rows
+
+    def test_tiny_sigma_gives_finite_rows(self):
+        # formed as (beta + U1) - beta, every row here read NaN
+        spsl_row, zero_row = self._rows(1e-20, 1.0)
+        assert np.isfinite([spsl_row.rmse, spsl_row.rmse_se]).all()
+        assert (zero_row.rmse, zero_row.rmse_se) == (1.0, 0.0)
+
+    def test_equivalent_cells_agree(self):
+        # (sigma, beta) -> (t sigma, t beta) leaves every ratio unchanged
+        rows = [self._rows(sigma, beta_norm)[0] for sigma, beta_norm in
+                ((1e-7, 1.0), (1.0, 1e14), (1e-5, 1e4))]
+        for row in rows[1:]:
+            assert row.rmse == pytest.approx(rows[0].rmse, rel=0.0, abs=1e-15)
+            assert row.rmse_se == pytest.approx(rows[0].rmse_se, rel=1e-12, abs=0.0)
+
+
 class TestStreamedCell:
     # a replication draws N = 12 noise values, so CHUNK_ELEMS = 12 * rows
     # gives chunks of `rows` replications
@@ -590,17 +681,23 @@ class TestStreamedCell:
     def test_warning_from_a_pooled_chunk_reaches_the_caller(self, monkeypatch):
         monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
         monkeypatch.setattr(_rng, "CHUNK_ELEMS", 50 * self.N)
-        # a competitor that reproduces the base leaves every difference
-        # degenerate, so every estimator warns in every chunk
-        monkeypatch.setattr(Competitor, "fit", lambda self, beta_hat: beta_hat.copy())
-        apply_rule, threads = simulation.apply_rule, set()
+        # a competitor with J = 0 reproduces the base and leaves every
+        # difference degenerate, so every estimator warns in every chunk
+        init = Competitor.__init__
+
+        def reproducing(self, *args):
+            init(self, *args)
+            self.J = np.zeros_like(self.J)
+
+        monkeypatch.setattr(Competitor, "__init__", reproducing)
+        rule_weights, threads = simulation.rule_weights, set()
 
         def recorded(*args):
             threads.add(threading.current_thread())
             time.sleep(0.001)   # lets the helper thread take chunks
-            return apply_rule(*args)
+            return rule_weights(*args)
 
-        monkeypatch.setattr(simulation, "apply_rule", recorded)
+        monkeypatch.setattr(simulation, "rule_weights", recorded)
         cfg = SimConfig(n=self.N, k=4, sigma=0.7, rho=0.4, beta_norms=(3.0,),
                         replications=500, seed=31, estimators=self.ESTIMATORS)
         with pytest.warns(DegenerateDifferenceWarning) as record:
