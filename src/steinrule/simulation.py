@@ -374,6 +374,10 @@ def _run_cell(config, cell_id, beta_norm, gamma_sq_target=None):
         loss[:, lo:hi] = _losses(config.estimators, U1, U1 @ JRt - gamma, a_hat)
 
     _rng.run_chunks(chunk, reps, n)
+    # scaled by a power of two, so the largest base loss lies in [1/2, 1):
+    # the co-moments of losses near sigma^2 neither overflow nor underflow,
+    # and the ratios and standard errors keep their bits
+    np.ldexp(loss, -np.frexp(loss[0].max())[1], out=loss)
     return [SweepRow(cell_id, n, k, config.sigma, config.rho, beta_norm,
                      float(gamma @ gamma), name, rmse, se, reps, config.seed)
             for name, rmse, se in relative_mse(config.estimators,

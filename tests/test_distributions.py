@@ -11,7 +11,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import gammaincinv
+from scipy.special import gammainccinv, gammaincinv, ndtr
 
 from steinrule import (
     DivergentMomentError,
@@ -26,7 +26,8 @@ from steinrule import (
     sample_joint_singular,
 )
 from steinrule import _rng
-from steinrule.distributions import _gamma_quantile
+from steinrule.distributions import _NODES, _Z, _gamma_quantile
+from steinrule.risk_bounds import restricted_instance
 
 
 def random_moments(k, seed, gamma_scale=1.0):
@@ -333,6 +334,16 @@ class TestEllipticalSpec:
         np.testing.assert_allclose(_gamma_quantile(a, u), gammaincinv(a, u),
                                    rtol=5e-14, atol=0)
 
+    @pytest.mark.parametrize("a", np.geomspace(1.001, 1e4, 25))
+    def test_gamma_quantile_table_at_nodes_and_midpoints(self, a):
+        # the table's nodes and interval midpoints in z whose uniforms lie
+        # in [2^-53, 1 - 2^-53], each tail against its own inverse
+        z = np.linspace(-_Z, _Z, 2 * _NODES - 1)
+        u = ndtr(z[np.abs(z) <= 8.2])
+        expected = np.where(u <= 0.5, gammaincinv(a, u), gammainccinv(a, 1.0 - u))
+        np.testing.assert_allclose(_gamma_quantile(a, u), expected,
+                                   rtol=5e-14, atol=0)
+
     def test_gamma_quantile_of_a_zero_uniform_is_positive(self):
         # Generator.random can emit 0, whose exact quantile is 0: a draw
         # divided by its square root would be infinite
@@ -449,6 +460,18 @@ class TestSampleJointSingular:
         rows = [sample_joint_singular(model, restriction, beta, sigma, 1, 48, i)[0]
                 for i in range(200)]
         np.testing.assert_array_equal(np.vstack(rows), whole)
+
+    @pytest.mark.parametrize("sigma", [1e-10, 1e-17])
+    def test_competitor_error_keeps_the_base_error_digits(self, sigma):
+        # refitting beta + U1 lost U1's digits when sigma << |beta|: U2
+        # was 4.3e-6 off at sigma = 1e-10, and all of it at 1e-17
+        model, restriction, beta, _ = restricted_instance(4, 3)
+        R, r = restriction.Rmat, restriction.r
+        G = np.linalg.inv(model.X.T @ model.X)
+        J = G @ R.T @ np.linalg.inv(R @ G @ R.T)
+        U1, U2 = sample_joint_singular(model, restriction, beta, sigma, 1000, 3)
+        expected = U1 @ (np.eye(4) - J @ R).T - J @ (R @ beta - r)
+        assert np.abs(U2 - expected).max() <= 1e-15 * np.abs(expected).max()
 
     def test_difference_rank_is_q(self):
         model, restriction, beta, sigma = self._setup(41, q=2)

@@ -623,6 +623,16 @@ class TestErrorScale:
             assert row.rmse == pytest.approx(rows[0].rmse, rel=0.0, abs=1e-15)
             assert row.rmse_se == pytest.approx(rows[0].rmse_se, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("sigma, beta_norm", [(1e80, 1e-160), (1e120, 1e-240),
+                                                  (1e150, 1e-300), (1e-100, 1e200)])
+    def test_extreme_sigma_agrees_with_its_unit_cell(self, sigma, beta_norm):
+        # the loss co-moments, of order sigma^4, overflowed to a NaN standard
+        # error from sigma = 1e80 on and underflowed to 0 at sigma = 1e-100
+        (row, zero_row), (unit, _) = self._rows(sigma, 1.0), self._rows(1.0, beta_norm)
+        assert row.rmse == pytest.approx(unit.rmse, rel=0.0, abs=1e-15)
+        assert row.rmse_se == pytest.approx(unit.rmse_se, rel=1e-12, abs=0.0)
+        assert (zero_row.rmse, zero_row.rmse_se) == (1.0, 0.0)
+
 
 class TestStreamedCell:
     # a replication draws N = 12 noise values, so CHUNK_ELEMS = 12 * rows
