@@ -21,9 +21,11 @@ redraws after the pass, drawing and ranking the candidates in blocks of
 one chunk's rows and taking the full-rank ones in counter order.
 
 `moments`, `pool` and `mean_se` are the one reduction of all three
-drivers: each chunk reduces its per-draw rows to a part (count, centre,
-mean and centred co-moments), and the caller merges the parts in chunk
-order.
+drivers. In the bound suite and the bootstrap each chunk reduces its
+per-draw rows to a part (count, centre, mean and centred co-moments), and
+the caller merges the parts in chunk order. The sweep cell keeps one loss
+per replication and estimator instead and reduces them once, after the
+pass, as one part, so its rows do not depend on where the chunks fall.
 """
 
 import contextvars
@@ -45,9 +47,10 @@ STREAM_MIXING = 1
 # float64 values per array in a chunked pass (400 kB): the bound-suite
 # pass and the sweep cell take chunks(count, width) of draws `width` values
 # wide, the bootstrap chunks(B, n k), as many replicates as their n x k
-# resampled designs would fill, so the memory of all three stays flat in
-# the draw or replicate count. All three run their chunks with
-# run_chunks, so they hold one chunk per thread.
+# resampled designs would fill. All three run their chunks with
+# run_chunks, so they hold one chunk per thread. The suite's and the
+# bootstrap's memory stays flat in the draw or replicate count; the sweep
+# cell's grows by its one loss per replication and estimator.
 CHUNK_ELEMS = 512 * 25 * 4
 
 _local = threading.local()

@@ -94,9 +94,12 @@ class JointMoments:
     """Second moments of (U1, U2) = (base - truth, competitor - truth).
 
     U1 has mean 0 and covariance A, U2 has mean gamma and covariance Phi,
-    with cross-covariance Sigma. Everything downstream works through the
-    covariance of the difference, Xi = A - Sigma - Sigma' + Phi, singular
-    or not. Its one eigendecomposition has q eigenpairs (lambda, V) above
+    with cross-covariance Sigma. Their joint covariance C = [[A, Sigma],
+    [Sigma', Phi]], singular or not, passes one PSD check; its eigenpairs
+    give joint_factor = V Lambda^(1/2), noise eigenvalues below 0 clipped,
+    so C = joint_factor joint_factor'. Everything else works through the
+    covariance of the difference, Xi = A - Sigma - Sigma' + Phi. Its
+    one eigendecomposition has q eigenpairs (lambda, V) above
     RANK_TOL times the largest; taken largest first, they give the factor
     P = V Lambda^(1/2) (k x q, Xi = P P'), P+ = Lambda^(-1/2) V',
     R = P'P = diag(lambda), the factor coordinates Z = P+ (U1 - U2) with
@@ -121,7 +124,9 @@ class JointMoments:
         for name, M in (("A", A), ("Phi", Phi)):
             if np.abs(M - M.T).max() > 1e-10 * max(np.abs(M).max(), 1.0):
                 raise MomentConsistencyError(f"{name} is not symmetric")
-            psd_eigh(name, M)
+        vals, vecs = psd_eigh("joint covariance",
+                              np.block([[A, Sigma], [Sigma.T, Phi]]))
+        self.joint_factor = vecs * np.sqrt(np.clip(vals, 0.0, None))
 
         Xi = A - Sigma - Sigma.T + Phi
         Xi = 0.5 * Xi + 0.5 * Xi.T
@@ -146,7 +151,7 @@ class JointMoments:
         self.q = len(lam)
         self.psi0 = float(lam[-1])
         self.psi1 = float(root[0])
-        for a in (gamma, A, Sigma, Phi, Xi, self.P, self.R, self.mu):
+        for a in (gamma, A, Sigma, Phi, Xi, self.joint_factor, self.P, self.R, self.mu):
             a.setflags(write=False)
 
     @classmethod

@@ -24,7 +24,7 @@ from scipy.special import (
 )
 
 from . import _rng
-from .core_model import Competitor, psd_eigh
+from .core_model import Competitor
 
 DIRAC_AT_ONE = "dirac-at-one"
 GAMMA_MIXTURE = "gamma-mixture"
@@ -34,11 +34,12 @@ TWO_POINT_MIXTURE = "two-point-mixture"
 # the gamma quantile table's nodes, evenly spaced in z over [-Z, Z]; Z
 # holds ndtri of every uniform in [2^-53, 1 - 2^-53], |z| <= 8.21. At 512
 # nodes the quantile is within 2e-14 relative of the exact one for every
-# shape a from 1 to 1e4; what is left is the rounding of z and of log x,
-# which more nodes do not lower.
+# shape a from 1 to 1e4, so nu = 2a up to _NU_MAX; what is left is the
+# rounding of z and of log x, which more nodes do not lower.
 _NODES = 512
 _Z = 8.5
 _STEP = 2 * _Z / (_NODES - 1)
+_NU_MAX = 2e4
 
 
 class DivergentMomentError(ValueError):
@@ -103,9 +104,13 @@ class EllipticalSpec:
 
     @classmethod
     def gamma_mixture(cls, nu):
-        """Gamma(nu/2, rate nu/2) mixing; the draws are multivariate t(nu)."""
+        """Gamma(nu/2, rate nu/2) mixing, 2 < nu <= 2e4; the draws are
+        multivariate t(nu)."""
         if not 2 < nu < np.inf:
             raise ValueError(f"gamma mixing needs a finite nu > 2, got {nu}")
+        if nu > _NU_MAX:
+            raise ValueError(f"gamma mixing is tabulated for nu <= {_NU_MAX:g}, got "
+                             f"{nu}; use the Gaussian law ({DIRAC_AT_ONE}) past it")
         return cls(GAMMA_MIXTURE, nu=float(nu))
 
     @classmethod
@@ -153,20 +158,13 @@ MIXING_KINDS = {
 }
 
 
-def joint_map(m, spec):
+def joint_map(m, spec, g, seed, start=0):
     """The one map from rows g of 2k standard normals to (U1, U2) under the
-    scale mixture spec: draws(g, seed, start) is U = spec.scale(g, seed,
-    start) L' about the mean (0, gamma), L = V Lambda^(1/2) from psd_eigh of
-    the joint covariance of (U1, U2), noise eigenvalues below 0 clipped."""
-    C = np.block([[m.A, m.Sigma], [m.Sigma.T, m.Phi]])
-    vals, vecs = psd_eigh("joint covariance", C)
-    L = vecs * np.sqrt(np.clip(vals, 0.0, None))
-
-    def draws(g, seed, start=0):
-        U = spec.scale(g, seed, start) @ L.T
-        U[:, m.k:] += m.gamma
-        return U[:, :m.k], U[:, m.k:]
-    return draws
+    scale mixture spec: U = spec.scale(g, seed, start) L' about the mean
+    (0, gamma), with L = m.joint_factor."""
+    U = spec.scale(g, seed, start) @ m.joint_factor.T
+    U[:, m.k:] += m.gamma
+    return U[:, :m.k], U[:, m.k:]
 
 
 def sample_joint_gaussian(m, count, seed, start=0):
@@ -183,7 +181,7 @@ def sample_joint_elliptical(m, spec, count, seed, start=0):
     scaled by z^(-1/2) about its mean, joint_map over the range's normals.
     Mixing uses its own stream, so every spec scales the same normals."""
     g = _rng.normals(seed, count, 2 * m.k, stream=_rng.STREAM_NOISE, start=start)
-    return joint_map(m, spec)(g, seed, start)
+    return joint_map(m, spec, g, seed, start)
 
 
 def sample_joint_singular(model, restriction, beta_true, sigma, count, seed, start=0):

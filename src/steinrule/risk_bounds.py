@@ -139,13 +139,11 @@ def _stream(sections, count, k, seed):
 def _joint(m, spec):
     """Key and draws of (U1, U2) on m under the scale mixture spec, from the
     chunk's 2k-wide normals, drawn once for all sections of m's k."""
-    to_draws = joint_map(m, spec)
-
     def draws(normals, seed, lo, hi):
         if m.k not in normals:
             normals[m.k] = _rng.normals(seed, hi - lo, 2 * m.k,
                                         stream=_rng.STREAM_NOISE, start=lo)
-        return _Draws(m, *to_draws(normals[m.k], seed, lo))
+        return _Draws(m, *joint_map(m, spec, normals[m.k], seed, lo))
     return ("joint", id(m), spec), draws
 
 

@@ -221,6 +221,10 @@ class TestVerifyBounds:
         (["--elliptical", "nan"], "gamma mixing needs a finite nu > 2, got nan"),
         (["--k", "2", "--allow-divergent", "--elliptical", "5"],
          "inverse norm moment needs factor dimension >= 3, got q=2"),
+        (["--elliptical", "1e20"], "gamma mixing is tabulated for nu <= 20000, "
+         "got 1e+20; use the Gaussian law (dirac-at-one) past it"),
+        (["--elliptical", "1e100"], "gamma mixing is tabulated for nu <= 20000, "
+         "got 1e+100; use the Gaussian law (dirac-at-one) past it"),
     ])
     def test_elliptical_refused_before_drawing(self, extra, message, capsys,
                                                monkeypatch):

@@ -20,7 +20,6 @@ from steinrule import (
 )
 from steinrule import _rng
 from steinrule.core_model import psd_eigh, restriction_projection
-from steinrule.distributions import EllipticalSpec, joint_map
 
 
 def random_model(n, k, sigma, seed, beta=None):
@@ -338,20 +337,40 @@ class TestJointMomentsContainer:
         assert m.psi0 == lam[-1]
         assert m.psi1 == np.sqrt(lam[0])
 
-    def test_joint_map_and_moments_refuse_alike(self):
-        # A is indefinite for JointMoments; for joint_map the blocks are
-        # PSD one by one and Xi = 6 I, but the joint covariance is not
-        k = 2
-        eye = np.eye(k)
-        with pytest.raises(MomentConsistencyError) as moments_err:
-            JointMoments.from_covariances(np.zeros(k), np.diag([1.0, -1.0]),
-                                          np.zeros((k, k)), eye)
-        m = JointMoments.from_covariances(np.zeros(k), eye, -2.0 * eye, eye)
-        with pytest.raises(MomentConsistencyError) as map_err:
-            joint_map(m, EllipticalSpec.dirac())
-        assert str(moments_err.value) == "A has eigenvalue -1.000e+00 below tolerance"
-        assert str(map_err.value) == (
-            "joint covariance has eigenvalue -1.000e+00 below tolerance")
+    @pytest.mark.parametrize("A,scale,eigenvalue", [
+        (np.diag([1.0, -1.0]), 0.0, "-1.000e+00"),
+        (np.eye(2), -2.0, "-1.000e+00"),
+        (np.eye(2), 1.0 + 1e-7, "-1.000e-07"),
+    ], ids=["indefinite-block", "anti-correlated-past-one", "just-past-one"])
+    def test_impossible_joint_law_is_refused_at_construction(self, A, scale,
+                                                             eigenvalue):
+        # Phi = I and Sigma = scale I. An indefinite A is refused by the same
+        # joint check as a law whose blocks are PSD one by one but whose
+        # correlation |scale| exceeds 1, which no random pair can have
+        eye = np.eye(2)
+        with pytest.raises(MomentConsistencyError, match="^" + re.escape(
+                f"joint covariance has eigenvalue {eigenvalue} below tolerance") + "$"):
+            JointMoments.from_covariances(np.zeros(2), A, scale * eye, eye)
+
+    def test_correlation_just_below_one_is_accepted(self):
+        eye = np.eye(2)
+        m = JointMoments.from_covariances(np.zeros(2), eye, (1.0 - 1e-7) * eye, eye)
+        assert m.q == 2
+
+    @pytest.mark.parametrize("k", range(3, 9))
+    def test_random_singular_joint_laws_build(self, k):
+        # C = M M' / (2k) from a random 2k x r M, of every rank r: the
+        # joint factor reproduces C, and Xi keeps rank min(r, k)
+        rng = np.random.default_rng(300 + k)
+        for r in range(1, 2 * k + 1):
+            M = rng.normal(size=(2 * k, r))
+            C = M @ M.T / (2 * k)
+            m = JointMoments.from_covariances(rng.normal(size=k), C[:k, :k],
+                                              C[:k, k:], C[k:, k:])
+            L = m.joint_factor
+            assert L.shape == (2 * k, 2 * k) and not L.flags.writeable
+            assert np.abs(L @ L.T - C).max() <= 1e-13 * np.abs(C).max()
+            assert m.q == min(r, k)
 
 
 class TestJointMomentsDiag:

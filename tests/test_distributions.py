@@ -4,6 +4,7 @@ Monte Carlo comparisons here use plain numpy generators as the
 independent reference, never the package's own streams.
 """
 
+import re
 import sys
 import threading
 import time
@@ -300,6 +301,18 @@ class TestEllipticalSpec:
     def test_gamma_needs_nu_above_two(self):
         with pytest.raises(ValueError):
             EllipticalSpec.gamma_mixture(2.0)
+
+    @pytest.mark.parametrize("nu", [1e20, 1e100])
+    def test_gamma_refuses_nu_past_its_table(self, nu):
+        # past nu = 2e4 the tabulated quantile loses digits; at 1e20 some
+        # draws were NaN, and at 1e100 |z - 1| reached 2e-3
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma mixing is tabulated for nu <= 20000, got {nu}; "
+                "use the Gaussian law (dirac-at-one) past it")):
+            EllipticalSpec.gamma_mixture(nu)
+
+    def test_gamma_accepts_nu_at_the_end_of_its_table(self):
+        assert EllipticalSpec.gamma_mixture(2e4).nu == 2e4
 
     def test_two_point_moments(self):
         spec = EllipticalSpec.two_point(0.5, 2.0, 0.5)

@@ -223,7 +223,15 @@ class TestSimConfig:
          "competitor", "restriction needs at least one nonempty row"),
         ({"competitor": {"Rmat": [[1, 0, 0], [2, 0, 0]], "r": [0, 0]}},
          "competitor", "restriction rows are linearly dependent (rank 1 of 2)"),
-    ], ids=["nu", "w", "p", "Rmat", "dependent-rows"])
+        ({"distribution": {"kind": "gamma-mixture", "nu": 1e20}},
+         "distribution 'gamma-mixture'",
+         "gamma mixing is tabulated for nu <= 20000, got 1e+20; "
+         "use the Gaussian law (dirac-at-one) past it"),
+        ({"distribution": {"kind": "gamma-mixture", "nu": 1e100}},
+         "distribution 'gamma-mixture'",
+         "gamma mixing is tabulated for nu <= 20000, got 1e+100; "
+         "use the Gaussian law (dirac-at-one) past it"),
+    ], ids=["nu", "w", "p", "Rmat", "dependent-rows", "nu-1e20", "nu-1e100"])
     def test_constructor_refusal_is_a_config_error(self, override, label, reason):
         # the key is named and the constructor's reason kept, whatever
         # ValueError subclass the constructor raised
