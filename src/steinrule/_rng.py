@@ -8,17 +8,14 @@ which `Generator.random` turns into 4 doubles, so a logical draw of
 dimension d is padded to whole ticks: stride = ceil(d / 4) * 4 uniforms.
 
 `chunks` tiles a pass into index ranges and `run_chunks` runs a function
-over them on one thread per CPU the process may use; the sweep cell, the
-bound suite and the bootstrap run their chunks this way. Its numpy, scipy
-and BLAS calls release the interpreter lock, so the chunks overlap; each
-chunk's draws and arithmetic depend only on its index range, so the
-results do not depend on the thread count. A bound-suite pass tiles all
-its sections with one set of chunks, and each chunk draws its standard
-normals once for all the sections that share them. The bootstrap's
-redraws are numbered in replicate order across chunks, so the chunks
-only report where a redraw is due, and the calling thread makes the
-redraws after the pass, drawing and ranking the candidates in blocks of
-one chunk's rows and taking the full-rank ones in counter order.
+over them on one thread per CPU the process may use; the sweep cell and
+the bound suite run their chunks this way. Their numpy, scipy and BLAS
+calls release the interpreter lock, so the chunks overlap; each chunk's
+draws and arithmetic depend only on its index range, so the results do
+not depend on the thread count. A bound-suite pass tiles all its sections
+with one set of chunks, and each chunk draws its standard normals once
+for all the sections that share them. The bootstrap runs its chunks in
+order on the calling thread: its short numpy calls mostly hold the lock.
 
 `moments`, `pool` and `mean_se` are the one reduction of all three
 drivers. In the bound suite and the bootstrap each chunk reduces its
@@ -47,10 +44,11 @@ STREAM_MIXING = 1
 # float64 values per array in a chunked pass (400 kB): the bound-suite
 # pass and the sweep cell take chunks(count, width) of draws `width` values
 # wide, the bootstrap chunks(B, n k), as many replicates as their n x k
-# resampled designs would fill. All three run their chunks with
-# run_chunks, so they hold one chunk per thread. The suite's and the
-# bootstrap's memory stays flat in the draw or replicate count; the sweep
-# cell's grows by its one loss per replication and estimator.
+# resampled designs would fill. The suite and the cell run their chunks
+# with run_chunks, so they hold one chunk per thread; the bootstrap holds
+# one. The suite's and the bootstrap's memory stays flat in the draw or
+# replicate count; the sweep cell's grows by its one loss per replication
+# and estimator.
 CHUNK_ELEMS = 512 * 25 * 4
 
 _local = threading.local()

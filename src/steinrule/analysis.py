@@ -297,23 +297,22 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
     full-sample base fit. Relative efficiency is that mean squared error
     over the base estimator's own.
 
-    Replicates are drawn and fitted in chunks of _rng.chunks(B, n k), on
-    one thread per CPU (_rng.run_chunks), and each chunk reduces its
-    losses to an _rng.moments part. A chunk counts how often each
-    replicate draws each row (one bincount) and, when every replicate in
-    it is certified full rank, is fitted from those counts on the one
-    shared design by the normal equations (_normal_fit); otherwise it
-    gathers its stack of resampled designs, and one SVD of the stack
-    gives each replicate its rank by _rank's rule and its fit. Replicates
-    whose resampled design loses rank are redrawn from a dedicated
-    stream, in replicate order: a chunk holding such replicates returns
-    only their positions, and once every chunk is done the calling
-    thread gives them, chunk by chunk, the stream's full-rank candidates
-    in order, gathered and ranked by their singular values a chunk's
-    worth at a time, and scores each repaired chunk by one SVD of its
-    gathered stack. The parts are pooled in chunk order, so memory stays
-    flat in B and the results do not depend on the thread count. Using
-    up 10 B candidates aborts.
+    Replicates are drawn and fitted in chunks of _rng.chunks(B, n k), in
+    order on the calling thread, and each chunk reduces its losses to an
+    _rng.moments part. A chunk counts how often each replicate draws each
+    row (one bincount) and, when every replicate in it is certified full
+    rank, is fitted from those counts on the one shared design by the
+    normal equations (_normal_fit); otherwise it gathers its stack of
+    resampled designs, and one SVD of the stack gives each replicate its
+    rank by _rank's rule and its fit. Replicates whose resampled design
+    loses rank are redrawn from a dedicated stream, in replicate order:
+    the chunk gives them the stream's next full-rank candidates, drawn
+    and ranked by their singular values a chunk's worth at a time, and is
+    fitted by one SVD of its repaired stack. The parts are pooled in
+    chunk order, so memory stays flat in B. Using up 10 B candidates
+    aborts. The chunks do not go to _rng.run_chunks: their numpy calls
+    are short and most hold the interpreter lock, so threads would not
+    overlap them.
     """
     if isinstance(B, bool) or not isinstance(B, numbers.Integral):
         raise DataError(f"B must be an integer, got {B!r}")
@@ -328,24 +327,6 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
         unif = _rng.uniforms(seed, count, n, stream=stream, start=start)
         return np.minimum((unif * n).astype(int), n - 1)
 
-    def part(beta_hat, beta_tilde, a_hat):
-        return _rng.moments(_losses(defs, beta_hat - full["ls"],
-                                    beta_hat - beta_tilde, a_hat))
-
-    def chunk(lo, hi):
-        idx = draw(hi - lo, 0, lo)
-        counts = np.bincount((idx + n * np.arange(hi - lo)[:, None]).ravel(),
-                             minlength=(hi - lo) * n)
-        fit = _normal_fit(X, y, counts.reshape(-1, n).astype(float))
-        if fit is None:
-            Xb = X[idx]
-            u, s, vt = np.linalg.svd(Xb, full_matrices=False)
-            deficient = np.flatnonzero(_rank(Xb, s) < k)
-            if len(deficient):
-                return deficient, None
-            fit = _fit_pair(Xb, y[idx], u, s, vt)
-        return (), part(*fit)
-
     def full_rank_candidates():
         # each full-rank stream-2 candidate in order, with the draws up to it
         block = _rng.chunk_rows(n * k)
@@ -357,16 +338,24 @@ def bootstrap_efficiency(data, specs=None, B=5000, seed=0):
             f"bootstrap gave up after {10 * B} rank-deficient redraws")
 
     parts, redraws, candidates = [], 0, full_rank_candidates()
-    for (lo, hi), (deficient, done) in zip(_rng.chunks(B, n * k),
-                                           _rng.run_chunks(chunk, B, n * k)):
-        if len(deficient):
-            idx = draw(hi - lo, 0, lo)
-            for i in deficient:
-                redraws, idx[i] = next(candidates)
+    for lo, hi in _rng.chunks(B, n * k):
+        idx = draw(hi - lo, 0, lo)
+        counts = np.bincount((idx + n * np.arange(hi - lo)[:, None]).ravel(),
+                             minlength=(hi - lo) * n)
+        fit = _normal_fit(X, y, counts.reshape(-1, n).astype(float))
+        if fit is None:
             Xb = X[idx]
-            done = part(*_fit_pair(Xb, y[idx],
-                                   *np.linalg.svd(Xb, full_matrices=False)))
-        parts.append(done)
+            u, s, vt = np.linalg.svd(Xb, full_matrices=False)
+            deficient = np.flatnonzero(_rank(Xb, s) < k)
+            if len(deficient):
+                for i in deficient:
+                    redraws, idx[i] = next(candidates)
+                Xb = X[idx]
+                u, s, vt = np.linalg.svd(Xb, full_matrices=False)
+            fit = _fit_pair(Xb, y[idx], u, s, vt)
+        beta_hat, beta_tilde, a_hat = fit
+        parts.append(_rng.moments(_losses(defs, beta_hat - full["ls"],
+                                          beta_hat - beta_tilde, a_hat)))
 
     efficiency, spread = {}, {}
     for name, rmse, se in relative_mse(defs, parts):

@@ -148,3 +148,7 @@ def cmd_estimate(args):
     for nm, vec in point_estimates(data, est).items():
         print(f"{nm}: " + " ".join(f"{v:.6g}" for v in vec))
     return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -374,6 +374,9 @@ def _run_cell(config, cell_id, beta_norm, gamma_sq_target=None):
         loss[:, lo:hi] = _losses(config.estimators, U1, U1 @ JRt - gamma, a_hat)
 
     _rng.run_chunks(chunk, reps, n)
+    if not np.isfinite(loss).all():
+        raise ConfigError(f"cell {cell_id} failed: its losses, of order "
+                          f"sigma^2, overflow at sigma={config.sigma}")
     # scaled by a power of two, so the largest base loss lies in [1/2, 1):
     # the co-moments of losses near sigma^2 neither overflow nor underflow,
     # and the ratios and standard errors keep their bits

@@ -6,6 +6,7 @@ import multiprocessing
 from fractions import Fraction
 import os
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -26,7 +27,7 @@ from steinrule import (
     point_estimates,
     spsl,
 )
-from steinrule import _rng, plug_in_gap
+from steinrule import _rng, analysis, plug_in_gap
 from steinrule.analysis import _CERTIFIED_COND, _fit_pair, _normal_fit
 from steinrule.simulation import _losses, relative_mse
 
@@ -540,11 +541,24 @@ class TestBootstrapEfficiency:
                 match="^bootstrap gave up after 1000 rank-deficient redraws$"):
             bootstrap_efficiency(hopeless_data(tmp_path), B=100, seed=0)
 
+    def test_fits_on_the_calling_thread(self, monkeypatch, smoke_model):
+        # a chunk's short numpy calls mostly hold the interpreter lock, so a
+        # second thread only traded it back and forth
+        monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
+        threads, fit = [], analysis._normal_fit
+
+        def traced(*args):
+            threads.append(threading.current_thread())
+            return fit(*args)
+
+        monkeypatch.setattr(analysis, "_normal_fit", traced)
+        bootstrap_efficiency(smoke_model, B=2000, seed=0)
+        assert threads and set(threads) == {threading.current_thread()}
+
     def test_memory_flat_in_replications(self, monkeypatch, smoke_model):
         # replicates are fitted in chunks: a (B, n, k) stack of resampled
         # designs alone would take 16 MB at B = 20000. The bootstrap holds
-        # one chunk per thread, so the thread count is fixed for the bound
-        # to mean the same on every host
+        # one chunk at a time, whatever the thread count
         monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
         tracemalloc.start()
         try:
@@ -557,8 +571,7 @@ class TestBootstrapEfficiency:
     def test_memory_flat_in_rows(self, monkeypatch, tmp_path):
         # chunks shrink as designs grow: one chunk of all 100 replicates of
         # this 20000 x 2 design would hold 32 MB in X[idx] alone (a fixed
-        # chunk of 512 peaked at 128 MB here). One chunk per thread, so the
-        # thread count is fixed, as above
+        # chunk of 512 peaked at 128 MB here). One chunk at a time, as above
         monkeypatch.setattr(_rng, "_worker_count", lambda: 2)
         path = tmp_path / "tall.csv"
         rows = ["y,x"] + [f"{0.3 * i + (i % 7)},{i % 101}"
@@ -577,12 +590,9 @@ class TestBootstrapEfficiency:
     def test_memory_flat_in_replications_with_redraws(
             self, monkeypatch, tmp_path, smoke_model, design):
         # every chunk of the sparse design redraws, the brand design's none.
-        # Each chunk keeps only its co-moment part, and a deficient chunk
-        # only the positions of its redraws until they are made: about 1
-        # (brands) and 4 (sparse) bytes per replicate, where holding each
-        # replicate's fits and losses took 72 and 156. One thread, so the
-        # peak does not depend on how the chunks in flight overlap; at two
-        # it moved by up to 50 bytes per replicate between runs
+        # Each chunk keeps only its co-moment part: under 1 byte per
+        # replicate here, where holding each replicate's fits and losses
+        # took 72 (brands) and 156 (sparse)
         monkeypatch.setattr(_rng, "_worker_count", lambda: 1)
         data = smoke_model if design == "brands" else sparse_data(tmp_path)
         monkeypatch.setattr(_rng, "CHUNK_ELEMS", 500 * data.design()[0].size)

@@ -1,7 +1,10 @@
-"""End-to-end runs of the command line entry point, in process."""
+"""End-to-end runs of the command line entry point, in process, and one
+run of the module as a script."""
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -193,6 +196,17 @@ class TestVerifyBounds:
         captured = capsys.readouterr()
         assert "error: need at least 2 draws" in captured.err
         assert "BOUND VIOLATION" not in captured.out
+
+    def test_module_runs_as_a_script(self):
+        # without a __main__ guard, python -m printed nothing and exited 0
+        env = dict(os.environ, PYTHONPATH=os.path.join(
+            os.path.dirname(__file__), os.pardir, "src"))
+        run = subprocess.run(
+            [sys.executable, "-m", "steinrule.cli", "verify-bounds",
+             "--samples", "2000"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1:] == ["all bounds hold"]
 
     def test_divergent_dimension_refused(self, capsys):
         assert main(["verify-bounds", "--k", "2"]) == 2

@@ -641,6 +641,14 @@ class TestErrorScale:
         assert row.rmse_se == pytest.approx(unit.rmse_se, rel=1e-12, abs=0.0)
         assert (zero_row.rmse, zero_row.rmse_se) == (1.0, 0.0)
 
+    @pytest.mark.parametrize("sigma", [1e154, 1e200])
+    def test_overflowing_sigma_is_refused(self, sigma):
+        # losses of order sigma^2 overflow here: the cell once gave NaN rows
+        with pytest.raises(ConfigError, match=re.escape(
+                f"cell 0 failed: its losses, of order sigma^2, overflow at "
+                f"sigma={sigma}")), np.errstate(over="ignore", invalid="ignore"):
+            self._rows(sigma, 1.0)
+
 
 class TestStreamedCell:
     # a replication draws N = 12 noise values, so CHUNK_ELEMS = 12 * rows
