@@ -1,6 +1,6 @@
 """Samplers for the joint law of the estimator errors (Gaussian, scale
 mixtures of Gaussians, restriction-induced singular Gaussians) and the
-closed-form inverse moments they are checked against.
+isotropic inverse moments they are checked against, by one trapezoid sum.
 
 A gamma mixing draw is the Gamma(a) quantile of one uniform u, a = nu/2.
 It is read from a table of log x against z = ndtri(u), built once per
@@ -13,15 +13,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import (
-    gammainccinv,
-    gammaincinv,
-    gammaln,
-    hyp1f1,
-    hyp2f1,
-    ndtr,
-    ndtri,
-)
+from scipy.special import gammainccinv, gammaincinv, gammaln, ndtr, ndtri
 
 from . import _rng
 from .core_model import Competitor
@@ -87,8 +79,7 @@ class EllipticalSpec:
     """Scale-mixture weighting: a draw z from the mixing law scales one
     whole Gaussian sample by z^(-1/2).
 
-    first_abs_moment is the integral of t times the absolute weighting
-    function; for these nonnegative mixtures it is the mixing mean.
+    first_abs_moment is the mixing mean E[z], laplace(0).
     """
 
     kind: str
@@ -122,11 +113,18 @@ class EllipticalSpec:
             raise ValueError(f"weight must lie in (0, 1), got {w}")
         return cls(TWO_POINT_MIXTURE, z1=float(z1), z2=float(z2), w=float(w))
 
+    def laplace(self, c):
+        """L(c) = E[z exp(-c z)] over the mixing draw z, elementwise in c."""
+        if self.kind == DIRAC_AT_ONE:
+            return np.exp(-c)
+        if self.kind == GAMMA_MIXTURE:
+            return np.exp(-(self.nu / 2.0 + 1.0) * np.log1p(2.0 * c / self.nu))
+        return (self.w * self.z1 * np.exp(-c * self.z1)
+                + (1.0 - self.w) * self.z2 * np.exp(-c * self.z2))
+
     @property
     def first_abs_moment(self):
-        if self.kind == TWO_POINT_MIXTURE:
-            return self.w * self.z1 + (1.0 - self.w) * self.z2
-        return 1.0
+        return float(self.laplace(0.0))
 
     def mixing_draws(self, seed, count, start=0):
         """One mixing value per sample, one uniform consumed per draw, draws
@@ -203,6 +201,13 @@ def sample_joint_singular(model, restriction, beta_true, sigma, count, seed, sta
     return U1, np.einsum("ij,kj->ik", U1, comp.M) + comp.bias(beta_true)
 
 
+def _check_dimension(what, k):
+    if not np.isfinite(k):
+        raise ValueError(f"dimension k must be finite, got k={k}")
+    if k <= 2:
+        raise DivergentMomentError(f"{what} needs k >= 3, got k={k}")
+
+
 def _check_noncentrality(name, value):
     if not (np.isfinite(value) and value >= 0):
         raise ValueError(f"noncentrality {name} must be finite and nonnegative, "
@@ -211,31 +216,25 @@ def _check_noncentrality(name, value):
 
 def inv_chisq_mean(k, lam):
     """Mean of the inverse noncentral chi-square with k degrees of freedom
-    and noncentrality lam, in closed form (Bock, Judge and Yancey 1984):
-
-        1F1(1; k/2; -lam/2) / (k - 2)
-    """
-    if k <= 2:
-        raise DivergentMomentError(f"inverse mean needs k >= 3, got k={k}")
+    and noncentrality lam: elliptical_inv_quadnorm_mean at the Dirac law."""
+    _check_dimension("inverse mean", k)
     _check_noncentrality("lam", lam)
-    return float(hyp1f1(1.0, k / 2.0, -lam / 2.0)) / (k - 2)
+    return elliptical_inv_quadnorm_mean(EllipticalSpec.dirac(), k, lam)
 
 
 def elliptical_inv_quadnorm_mean(spec, k, mu_sq=0.0):
     """E[1 / Z'Z] for an elliptical Z with identity shape, dimension k, and
-    location norm-squared mu_sq: the inverse chi-square mean mixed over the
-    scale, E_z[z * inv_chisq_mean(k, z * mu_sq)].
-
-    For Gamma(a, rate a) mixing, a = nu/2, the mixture sums term by term to
-    2F1(1, a + 1; k/2; -mu_sq / (2a)) / (k - 2).
-    """
-    if k <= 2:
-        raise DivergentMomentError(f"inverse quadratic mean needs k >= 3, got k={k}")
+    location norm-squared mu_sq: E_s[L(mu_sq s / 2)] / (k - 2), with
+    s ~ Beta(1, k/2 - 1) and L = spec.laplace. For the Poisson(lam/2) count j
+    of chi2_k(lam), 1/(k - 2 + 2j) = E_s[(1 - s)^j] / (k - 2); summing over j
+    gives E_s[exp(-lam s / 2)], and lam = z mu_sq mixes in. E_s is one
+    trapezoid sum, step 1/4, in the logistic t of the Beta quantile s
+    (Trefethen and Weideman 2014), from t = 40 down to -40 - log1p(mu_sq),
+    over the weights' own sum, so mu_sq = 0 gives L(0) / (k - 2)."""
+    _check_dimension("inverse quadratic mean", k)
     _check_noncentrality("mu_sq", mu_sq)
-    if spec.kind == DIRAC_AT_ONE:
-        return inv_chisq_mean(k, mu_sq)
-    if spec.kind == TWO_POINT_MIXTURE:
-        return (spec.w * spec.z1 * inv_chisq_mean(k, spec.z1 * mu_sq)
-                + (1.0 - spec.w) * spec.z2 * inv_chisq_mean(k, spec.z2 * mu_sq))
-    a = spec.nu / 2.0
-    return float(hyp2f1(1.0, a + 1.0, k / 2.0, -mu_sq / (2.0 * a))) / (k - 2)
+    t = np.arange(40.0, -40.0 - np.log1p(mu_sq), -0.25)
+    log1p_et = np.log1p(np.exp(t))
+    s = -np.expm1(-log1p_et / (k / 2.0 - 1.0))  # Beta quantile of x(t) = 1/(1 + e^-t)
+    w = np.exp(t - 2.0 * log1p_et)  # dx/dt
+    return float(np.sum(w * spec.laplace(mu_sq * s / 2.0)) / np.sum(w)) / (k - 2)

@@ -531,8 +531,9 @@ class TestInvChisqMean:
             assert inv_chisq_mean(k, lam) == pytest.approx(inv.mean(), abs=4 * se)
 
     def test_noncentrality_strictly_reduces(self):
-        for k in (3, 5, 9):
-            values = [inv_chisq_mean(k, lam) for lam in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0)]
+        for k in (3, 5, 9, 30, 100):
+            values = [inv_chisq_mean(k, lam)
+                      for lam in (0.0, 0.5, 1.0, 2.0, 5.0, 20.0, 1e11, 1e12, 1e14)]
             assert all(a > b for a, b in zip(values, values[1:]))
             assert all(v < 1.0 / (k - 2) for v in values[1:])
 
@@ -548,6 +549,13 @@ class TestInvChisqMean:
             exact = -np.expm1(-lam / 2.0) / lam
             assert inv_chisq_mean(4, lam) == pytest.approx(exact, rel=1e-13, abs=0)
 
+    @pytest.mark.parametrize("k, lam", [(30, 1.8e11), (60, 1e12), (100, 1e14), (3, 1e300)])
+    def test_large_noncentrality_follows_its_expansion(self, k, lam):
+        # E[1/chi2_k(lam)] = (1 - (k - 4)/lam + (k - 4)(k - 6)/lam^2 - ...) / lam;
+        # the third term is below 1e-18 relative at these points
+        assert inv_chisq_mean(k, lam) == pytest.approx(
+            (1.0 - (k - 4) / lam) / lam, rel=1e-14, abs=0)
+
     def test_divergent_degrees_raise(self):
         with pytest.raises(DivergentMomentError):
             inv_chisq_mean(2, 0.0)
@@ -555,6 +563,11 @@ class TestInvChisqMean:
     def test_negative_noncentrality_raises(self):
         with pytest.raises(ValueError):
             inv_chisq_mean(5, -1.0)
+
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dimension_raises(self, k):
+        with pytest.raises(ValueError, match=f"^dimension k must be finite, got k={k}$"):
+            inv_chisq_mean(k, 1.0)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_noncentrality_raises(self, lam):
@@ -606,14 +619,40 @@ class TestEllipticalInvQuadnormMean:
 
     def test_gamma_mixture_exact_at_four_dimensions(self):
         # k = 4 mixes to (1 - (1 + mu_sq / (2a))^-a) / mu_sq with a = nu/2
-        for nu in (2.1, 5.0):
+        for nu in (2.1, 5.0, 1e3, 1e4, 2e4):
             a = nu / 2.0
             spec = EllipticalSpec.gamma_mixture(nu)
-            for mu_sq in (1.5, 200.0, 1000.0):
+            for mu_sq in (1.5, 200.0, 1000.0, 1e4, 1e8, 1e12):
                 exact = -np.expm1(-a * np.log1p(mu_sq / (2.0 * a))) / mu_sq
                 assert elliptical_inv_quadnorm_mean(spec, 4, mu_sq) == pytest.approx(
                     exact, rel=1e-13, abs=0)
 
+    def test_gamma_mixture_exact_at_large_nu(self):
+        # two 40-digit mpmath methods agree on this value: the 2F1 series and
+        # quadrature of z E[1/chi2_3(z mu_sq)] over the Gamma(500, rate 500) law
+        assert elliptical_inv_quadnorm_mean(
+            EllipticalSpec.gamma_mixture(1e3), 3, 1e4) == pytest.approx(
+                1.0001002305968374515e-4, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("z1, z2, w", [(0.5, 2.0, 0.3), (1e-3, 1e3, 0.9)])
+    @pytest.mark.parametrize("k", [3, 5, 30])
+    def test_two_point_mixes_two_inverse_chisq_means(self, z1, z2, w, k):
+        spec = EllipticalSpec.two_point(z1, z2, w)
+        for mu_sq in (0.0, 1.5, 1e3, 1e8):
+            mixed = (w * z1 * inv_chisq_mean(k, z1 * mu_sq)
+                     + (1.0 - w) * z2 * inv_chisq_mean(k, z2 * mu_sq))
+            assert elliptical_inv_quadnorm_mean(spec, k, mu_sq) == pytest.approx(
+                mixed, rel=1e-14, abs=0)
+
     def test_divergent_dimension_raises(self):
         with pytest.raises(DivergentMomentError):
             elliptical_inv_quadnorm_mean(EllipticalSpec.dirac(), 2, 0.0)
+
+    @pytest.mark.parametrize("spec", [EllipticalSpec.dirac(),
+                                      EllipticalSpec.gamma_mixture(5.0),
+                                      EllipticalSpec.two_point(0.5, 2.0, 0.3)],
+                             ids=lambda spec: spec.kind)
+    @pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+    def test_non_finite_dimension_raises(self, spec, k):
+        with pytest.raises(ValueError, match=f"^dimension k must be finite, got k={k}$"):
+            elliptical_inv_quadnorm_mean(spec, k, 1.0)
